@@ -35,3 +35,9 @@ class GeneratorCollapseError(EhrlichError):
 
 class ConvergenceError(EhrlichError):
     """An iterative solver failed to reach the requested tolerance."""
+
+
+def require(condition: bool, message: str) -> None:
+    """Raise ``InvalidParamsError(message)`` unless ``condition`` holds."""
+    if not condition:
+        raise InvalidParamsError(message)

@@ -13,7 +13,6 @@ optimum each draw from a named substream of the instance seed (see
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -21,17 +20,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .errors import ConstructionError, GenerationError, InvalidParamsError
-from .kernels import score_batch
+from .errors import ConstructionError, GenerationError, InvalidParamsError, require
+from .kernels import feasible_rows, score_batch
 
 NAME_PATTERN = re.compile(r"^Ehr\((\d+),(\d+)\)-(\d+)-(\d+)-(\d+)$")
 
 MAX_GENERATION_RETRIES = 100
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidParamsError(message)
 
 
 @dataclass(frozen=True)
@@ -61,23 +55,23 @@ class EhrlichParams:
     def __post_init__(self) -> None:
         v, L = self.vocab_size, self.length
         c, k, q = self.num_motifs, self.motif_length, self.quantization
-        _require(v >= 2, f"vocab_size must be >= 2, got {v}")
-        _require(v <= 1024, f"vocab_size must be <= 1024, got {v}")
-        _require(L >= 2, f"length must be >= 2, got {L}")
-        _require(c >= 1, f"num_motifs must be >= 1, got {c}")
-        _require(k >= 1, f"motif_length must be >= 1, got {k}")
-        _require(c * k <= L, f"num_motifs * motif_length must be <= length: {c}*{k} > {L}")
-        _require(1 <= q <= k, f"quantization must be in [1, motif_length], got {q}")
-        _require(k % q == 0, f"quantization must divide motif_length: q={q}, k={k}")
+        require(v >= 2, f"vocab_size must be >= 2, got {v}")
+        require(v <= 1024, f"vocab_size must be <= 1024, got {v}")
+        require(L >= 2, f"length must be >= 2, got {L}")
+        require(c >= 1, f"num_motifs must be >= 1, got {c}")
+        require(k >= 1, f"motif_length must be >= 1, got {k}")
+        require(c * k <= L, f"num_motifs * motif_length must be <= length: {c}*{k} > {L}")
+        require(1 <= q <= k, f"quantization must be in [1, motif_length], got {q}")
+        require(k % q == 0, f"quantization must divide motif_length: q={q}, k={k}")
         a = self.epistasis_factor
-        _require(0.0 <= a <= 4.0, f"epistasis_factor must be in [0, 4], got {a}")
-        _require(self.softmax_temperature > 0, f"softmax_temperature must be > 0, got {self.softmax_temperature}")
+        require(0.0 <= a <= 4.0, f"epistasis_factor must be in [0, 4], got {a}")
+        require(self.softmax_temperature > 0, f"softmax_temperature must be > 0, got {self.softmax_temperature}")
         ff = self.feasible_fraction
-        _require(0.0 < ff <= 1.0, f"feasible_fraction must be in (0, 1], got {ff}")
+        require(0.0 < ff <= 1.0, f"feasible_fraction must be in (0, 1], got {ff}")
         b = feasible_count(v, ff)
-        _require(b >= 2, f"feasible_fraction {ff} yields per-row feasible count {b} < 2")
-        _require(b <= v - 1, f"feasible_fraction {ff} yields per-row feasible count {b} = vocab_size (no infeasible transition)")
-        _require(0 <= int(self.seed) <= 2**64 - 1, f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        require(b >= 2, f"feasible_fraction {ff} yields per-row feasible count {b} < 2")
+        require(b <= v - 1, f"feasible_fraction {ff} yields per-row feasible count {b} = vocab_size (no infeasible transition)")
+        require(0 <= int(self.seed) <= 2**64 - 1, f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     @property
     def name(self) -> str:
@@ -126,18 +120,18 @@ class TransitionMatrix:
         mask = np.asarray(self.mask, dtype=bool)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "mask", mask)
-        _require(entries.ndim == 2 and entries.shape[0] == entries.shape[1],
-                 f"transition entries must be square, got shape {entries.shape}")
-        _require(mask.shape == entries.shape,
-                 f"mask shape {mask.shape} must match entries shape {entries.shape}")
-        _require(bool(np.all(entries >= 0)), "transition entries must be nonnegative")
+        require(entries.ndim == 2 and entries.shape[0] == entries.shape[1],
+                f"transition entries must be square, got shape {entries.shape}")
+        require(mask.shape == entries.shape,
+                f"mask shape {mask.shape} must match entries shape {entries.shape}")
+        require(bool(np.all(entries >= 0)), "transition entries must be nonnegative")
         row_sums = entries.sum(axis=1)
-        _require(bool(np.all(np.abs(row_sums - 1.0) <= 1e-9)),
-                 f"every transition row must sum to 1 within 1e-9, worst deviation {np.abs(row_sums - 1.0).max():.3g}")
-        _require(bool(np.all((entries > 0) == mask)),
-                 "transition entries must be strictly positive exactly where the mask is true")
-        _require(bool(np.all(np.diagonal(mask))),
-                 "transition mask diagonal must be all true (aperiodicity)")
+        require(bool(np.all(np.abs(row_sums - 1.0) <= 1e-9)),
+                f"every transition row must sum to 1 within 1e-9, worst deviation {np.abs(row_sums - 1.0).max():.3g}")
+        require(bool(np.all((entries > 0) == mask)),
+                "transition entries must be strictly positive exactly where the mask is true")
+        require(bool(np.all(np.diagonal(mask))),
+                "transition mask diagonal must be all true (aperiodicity)")
 
     @property
     def vocab_size(self) -> int:
@@ -170,13 +164,13 @@ class SpacedMotifs:
         offsets = np.asarray(self.offsets, dtype=np.int64)
         object.__setattr__(self, "motifs", motifs)
         object.__setattr__(self, "offsets", offsets)
-        _require(motifs.ndim == 2, f"motifs must be a (c, k) table, got shape {motifs.shape}")
-        _require(offsets.shape == motifs.shape,
-                 f"offsets shape {offsets.shape} must match motifs shape {motifs.shape}")
-        _require(bool(np.all(offsets[:, 0] == 0)), "offsets must start at 0 for every motif")
+        require(motifs.ndim == 2, f"motifs must be a (c, k) table, got shape {motifs.shape}")
+        require(offsets.shape == motifs.shape,
+                f"offsets shape {offsets.shape} must match motifs shape {motifs.shape}")
+        require(bool(np.all(offsets[:, 0] == 0)), "offsets must start at 0 for every motif")
         if motifs.shape[1] > 1:
-            _require(bool(np.all(np.diff(offsets, axis=1) > 0)),
-                     "offsets must be strictly increasing within every motif")
+            require(bool(np.all(np.diff(offsets, axis=1) > 0)),
+                    "offsets must be strictly increasing within every motif")
 
     @property
     def num_motifs(self) -> int:
@@ -188,19 +182,18 @@ class SpacedMotifs:
 
     def validate_against(self, params: EhrlichParams, transition: TransitionMatrix) -> None:
         c, k, L = params.num_motifs, params.motif_length, params.length
-        _require(self.motifs.shape == (c, k),
-                 f"motifs shape {self.motifs.shape} must be (num_motifs, motif_length) = ({c}, {k})")
-        _require(bool(np.all((self.motifs >= 0) & (self.motifs < params.vocab_size))),
-                 "motif tokens must lie in [0, vocab_size)")
-        _require(bool(np.all(self.offsets[:, -1] <= L - 1)),
-                 "every motif must fit in the sequence: last offset <= length - 1")
+        require(self.motifs.shape == (c, k),
+                f"motifs shape {self.motifs.shape} must be (num_motifs, motif_length) = ({c}, {k})")
+        require(bool(np.all((self.motifs >= 0) & (self.motifs < params.vocab_size))),
+                "motif tokens must lie in [0, vocab_size)")
+        require(bool(np.all(self.offsets[:, -1] <= L - 1)),
+                "every motif must fit in the sequence: last offset <= length - 1")
         spans = self.offsets[:, -1] + 1
-        _require(int(spans.sum()) <= L,
-                 "motif spans must fit end-to-end within the sequence length")
-        chain = self.motifs.reshape(-1)
-        feasible_steps = transition.mask[chain[:-1], chain[1:]]
-        _require(bool(np.all(feasible_steps)),
-                 "consecutive motif tokens must be feasible transitions (motifs are one DMP draw)")
+        require(int(spans.sum()) <= L,
+                "motif spans must fit end-to-end within the sequence length")
+        chain = self.motifs.reshape(1, -1)
+        require(bool(feasible_rows(chain, transition.mask)[0]),
+                "consecutive motif tokens must be feasible transitions (motifs are one DMP draw)")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpacedMotifs):
@@ -222,16 +215,6 @@ class ScoredSequence:
         object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.int64))
 
 
-def validate_sequence(tokens: np.ndarray, params: EhrlichParams) -> np.ndarray:
-    """Check a token vector against the instance alphabet and length."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    _require(tokens.ndim == 1 and tokens.shape[0] == params.length,
-             f"sequence must have length {params.length}, got shape {tokens.shape}")
-    _require(bool(np.all((tokens >= 0) & (tokens < params.vocab_size))),
-             f"sequence tokens must lie in [0, {params.vocab_size})")
-    return tokens
-
-
 @dataclass(frozen=True)
 class EhrlichFunction:
     """Immutable test-function instance with a verified optimum.
@@ -246,14 +229,10 @@ class EhrlichFunction:
     optimum: np.ndarray
 
     def __post_init__(self) -> None:
-        optimum = validate_sequence(self.optimum, self.params)
-        object.__setattr__(self, "optimum", optimum)
+        object.__setattr__(self, "optimum", np.asarray(self.optimum, dtype=np.int64))
         self.motifs.validate_against(self.params, self.transition)
-        value = evaluate(self, optimum)
-        if value != 1.0:
-            raise InvalidParamsError(
-                f"optimum must be feasible with value exactly 1, got {value}"
-            )
+        value = evaluate(self, self.optimum)
+        require(value == 1.0, f"optimum must be feasible with value exactly 1, got {value}")
 
     @property
     def name(self) -> str:
@@ -309,13 +288,13 @@ def build_transition_matrix(
     permutation and the diagonal forced back to true. Entries are
     softmax(randn / tau) masked and row-renormalized.
     """
-    _require(vocab_size >= 2, f"vocab_size must be >= 2, got {vocab_size}")
-    _require(softmax_temperature > 0,
-             f"softmax_temperature must be > 0, got {softmax_temperature}")
+    require(vocab_size >= 2, f"vocab_size must be >= 2, got {vocab_size}")
+    require(softmax_temperature > 0,
+            f"softmax_temperature must be > 0, got {softmax_temperature}")
     band = feasible_count(vocab_size, feasible_fraction)
-    _require(band >= 2, f"feasible_fraction {feasible_fraction} yields per-row feasible count {band} < 2")
-    _require(band <= vocab_size - 1,
-             f"feasible_fraction {feasible_fraction} yields per-row feasible count {band} = vocab_size (no infeasible transition)")
+    require(band >= 2, f"feasible_fraction {feasible_fraction} yields per-row feasible count {band} < 2")
+    require(band <= vocab_size - 1,
+            f"feasible_fraction {feasible_fraction} yields per-row feasible count {band} = vocab_size (no infeasible transition)")
 
     permutation = rng.substream(seed, rng.STREAM_PERMUTATION).permutation(vocab_size)
     mask = banded_mask(vocab_size, band)[permutation]
@@ -374,7 +353,7 @@ def sample_dmp(transition: TransitionMatrix, length: int, seed: rng.SeedLike) ->
     token is drawn from its predecessor's transition row. Outputs are
     feasible by construction.
     """
-    _require(length >= 1, f"length must be >= 1, got {length}")
+    require(length >= 1, f"length must be >= 1, got {length}")
     gen = rng.substream(seed)
     v = transition.vocab_size
     tokens = np.empty(length, dtype=np.int64)
@@ -398,7 +377,7 @@ def build_motifs(
     slack = (L - c*k) // c, so motifs laid end-to-end always fit.
     """
     c, k, L = params.num_motifs, params.motif_length, params.length
-    _require(c * k <= L, f"num_motifs * motif_length must be <= length: {c}*{k} > {L}")
+    require(c * k <= L, f"num_motifs * motif_length must be <= length: {c}*{k} > {L}")
     draw = sample_dmp(transition, c * k, rng.seed_path(seed, rng.STREAM_MOTIFS))
     motifs = draw.reshape(c, k)
 
@@ -435,13 +414,12 @@ def construct_optimum(
         cursor += motifs.offsets[i, k - 1] + 1
     tokens[cursor:] = motifs.motifs[c - 1, k - 1]
 
-    if not is_feasible(tokens, transition):
-        raise ConstructionError("constructed optimum is infeasible; construction bug")
-    value = _score_raw(tokens, params, transition, motifs)
-    if value != 1.0:
+    try:
+        EhrlichFunction(params=params, transition=transition, motifs=motifs, optimum=tokens)
+    except InvalidParamsError as exc:
         raise ConstructionError(
-            f"constructed optimum scores {value} instead of 1; construction bug"
-        )
+            f"constructed optimum does not verify ({exc}); construction bug"
+        ) from exc
     return tokens
 
 
@@ -482,10 +460,7 @@ def generate(params: EhrlichParams) -> EhrlichFunction:
 
 def is_feasible(tokens: np.ndarray, transition: TransitionMatrix) -> bool:
     """True iff every adjacent transition in the sequence is allowed."""
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.shape[0] < 2:
-        return True
-    return bool(transition.mask[tokens[:-1], tokens[1:]].all())
+    return bool(feasible_rows(np.asarray(tokens, dtype=np.int64)[None, :], transition.mask)[0])
 
 
 def motif_score(tokens, motif, offsets, quantization: int) -> Fraction:
@@ -499,8 +474,8 @@ def motif_score(tokens, motif, offsets, quantization: int) -> Fraction:
     motif = np.asarray(motif, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
     k = motif.shape[0]
-    _require(k % quantization == 0,
-             f"quantization must divide motif_length: q={quantization}, k={k}")
+    require(k % quantization == 0,
+            f"quantization must divide motif_length: q={quantization}, k={k}")
     length = tokens.shape[0]
     best = 0
     for start in range(length):
@@ -526,37 +501,32 @@ def motif_product(tokens, motifs: SpacedMotifs, quantization: int, a=0) -> Fract
     return product
 
 
-def _score_raw(tokens, params, transition, motifs) -> float:
-    batch = np.asarray(tokens, dtype=np.int64).reshape(1, -1)
-    return float(
-        score_batch(
-            batch,
-            transition.mask,
-            motifs.motifs,
-            motifs.offsets,
-            params.motif_length // params.quantization,
-            params.quantization,
-            float(params.epistasis_factor),
-        )[0]
-    )
-
-
 def evaluate(function: EhrlichFunction, tokens) -> float:
-    """f(x): -inf if infeasible, else the product of motif responses."""
-    tokens = validate_sequence(tokens, function.params)
-    return _score_raw(tokens, function.params, function.transition, function.motifs)
+    """f(x): -inf if infeasible, else the product of motif responses.
+
+    The one-row form of ``evaluate_batch``, with its checks.
+    """
+    return float(evaluate_batch(function, np.asarray(tokens)[None, :])[0])
 
 
 def evaluate_batch(
     function: EhrlichFunction, tokens: np.ndarray, backend: str | None = None
 ) -> np.ndarray:
-    """Vectorized ``evaluate`` over an (N, L) token array."""
-    tokens = np.ascontiguousarray(tokens, dtype=np.int64)
-    if tokens.ndim != 2 or tokens.shape[1] != function.params.length:
-        raise InvalidParamsError(
-            f"batch must have shape (N, {function.params.length}), got {tokens.shape}"
-        )
+    """f over an (N, L) token array; the only entry into the scoring kernels.
+
+    Raises ``InvalidParamsError`` unless the batch has shape (N, L) and
+    every token lies in [0, v). The kernels index the transition mask
+    with tokens and assume this check has been made.
+    """
     params = function.params
+    tokens = np.ascontiguousarray(tokens, dtype=np.int64)
+    require(tokens.ndim == 2 and tokens.shape[1] == params.length,
+            f"batch must have shape (N, {params.length}) for sequence length "
+            f"{params.length}, got {tokens.shape}")
+    if tokens.size:
+        low, high = int(tokens.min()), int(tokens.max())
+        require(low >= 0 and high < params.vocab_size,
+                f"sequence tokens must lie in [0, {params.vocab_size}), got [{low}, {high}]")
     return score_batch(
         tokens,
         function.transition.mask,
@@ -571,8 +541,7 @@ def evaluate_batch(
 
 def regret(function: EhrlichFunction, tokens) -> float:
     """Simple regret 1 - f(x); +inf for infeasible sequences."""
-    value = evaluate(function, tokens)
-    return math.inf if value == -math.inf else 1.0 - value
+    return regret_of_value(evaluate(function, tokens))
 
 
 def regret_of_value(value) -> float:

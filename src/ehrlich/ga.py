@@ -18,16 +18,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import InvalidParamsError
+from .errors import require
 from .function import ScoredSequence
 
 PHASE_MUTATE = 0
 PHASE_RECOMBINE = 1
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidParamsError(message)
 
 
 @dataclass(frozen=True)
@@ -41,16 +36,16 @@ class GAConfig:
     def __post_init__(self) -> None:
         n = self.num_particles
         alpha = self.survival_quantile
-        _require(n >= 2, f"num_particles must be >= 2, got {n}")
-        _require(alpha < 1, f"survival_quantile must be < 1, got {alpha}")
-        _require(alpha * n >= 2,
-                 f"survival_quantile * num_particles must be >= 2, got {alpha * n:.3g}")
-        _require(0.0 <= self.mutation_prob <= 1.0,
-                 f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
-        _require(0.0 <= self.recombination_prob <= 1.0,
-                 f"recombination_prob must be in [0, 1], got {self.recombination_prob}")
-        _require(0 <= int(self.seed) <= 2**64 - 1,
-                 f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        require(n >= 2, f"num_particles must be >= 2, got {n}")
+        require(alpha < 1, f"survival_quantile must be < 1, got {alpha}")
+        require(alpha * n >= 2,
+                f"survival_quantile * num_particles must be >= 2, got {alpha * n:.3g}")
+        require(0.0 <= self.mutation_prob <= 1.0,
+                f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
+        require(0.0 <= self.recombination_prob <= 1.0,
+                f"recombination_prob must be in [0, 1], got {self.recombination_prob}")
+        require(0 <= int(self.seed) <= 2**64 - 1,
+                f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ def recombine(survivors, recombination_prob: float, count: int,
     position, parent 2's otherwise.
     """
     survivors = np.atleast_2d(np.asarray(survivors, dtype=np.int64))
-    _require(survivors.shape[0] >= 1, "recombine requires at least one survivor")
+    require(survivors.shape[0] >= 1, "recombine requires at least one survivor")
     gen = rng.substream(seed)
     num = survivors.shape[0]
     first = survivors[gen.integers(0, num, size=count)]
@@ -172,8 +167,8 @@ def run_ga(function, config: GAConfig, budget: int,
     """Run steps until the next would exceed `budget` evaluations (or the
     optimum is found). The initial-solution evaluation counts toward the
     budget; history gets one entry per executed step."""
-    _require(budget >= config.num_particles,
-             f"budget must cover at least one step: {budget} < {config.num_particles}")
+    require(budget >= config.num_particles,
+            f"budget must cover at least one step: {budget} < {config.num_particles}")
     state = init_ga(function, config)
     while state.evals_used + config.num_particles <= budget:
         if stop_on_optimum and state.incumbent.value == 1.0:

@@ -10,6 +10,12 @@ bit-identical.
 
 Values are float64: the product of per-motif responses for feasible
 sequences, ``-inf`` for infeasible ones.
+
+The kernels assume validated input: an (N, L) int64 batch with every
+token in [0, v). ``function.evaluate_batch`` is the only validating
+entry; it raises ``InvalidParamsError`` for a bad shape or a token
+outside [0, v). Called directly on unchecked tokens, the numpy kernel
+wraps negative indices and the numba kernel reads out of bounds.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ def _score_batch_py(tokens, mask, motifs, offsets, divisor, q, a):
     num_motifs, motif_len = motifs.shape
     out = np.empty(num_seqs, dtype=np.float64)
     for n in range(num_seqs):
+        # The feasibility rule of ``feasible_rows``, inlined for the compiled kernel.
         feasible = True
         for pos in range(1, length):
             if not mask[tokens[n, pos - 1], tokens[n, pos]]:
@@ -63,14 +70,19 @@ if HAVE_NUMBA:
     _score_batch_numba = numba.njit(cache=True)(_score_batch_py)
 
 
+def feasible_rows(tokens, mask):
+    """True for each row of an (N, L) batch whose adjacent transitions the
+    mask all allows; every row is feasible when L < 2."""
+    if tokens.shape[1] < 2:
+        return np.ones(tokens.shape[0], dtype=bool)
+    return mask[tokens[:, :-1], tokens[:, 1:]].all(axis=1)
+
+
 def score_batch_numpy(tokens, mask, motifs, offsets, divisor, q, a):
     """Pure-numpy batch scorer; see module docstring for the contract."""
     num_seqs, length = tokens.shape
     num_motifs, motif_len = motifs.shape
-    if length > 1:
-        feasible = mask[tokens[:, :-1], tokens[:, 1:]].all(axis=1)
-    else:
-        feasible = np.ones(num_seqs, dtype=bool)
+    feasible = feasible_rows(tokens, mask)
     values = np.ones(num_seqs, dtype=np.float64)
     counts = np.empty((num_seqs, length), dtype=np.int64)
     for i in range(num_motifs):

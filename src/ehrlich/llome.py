@@ -20,15 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import GeneratorCollapseError, InvalidParamsError
+from .errors import GeneratorCollapseError, require
 from .function import ScoredSequence, regret_of_value
 from .ga import GAConfig, run_ga
+from .kernels import feasible_rows
 from .losses import margin_reward
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidParamsError(message)
+from .records import EvalLedger
 
 
 @dataclass(frozen=True)
@@ -43,9 +40,9 @@ class ScoredSet:
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "values", values)
-        _require(tokens.ndim == 2, f"tokens must be (N, L), got shape {tokens.shape}")
-        _require(values.shape == (tokens.shape[0],),
-                 f"values shape {values.shape} must be ({tokens.shape[0]},)")
+        require(tokens.ndim == 2, f"tokens must be (N, L), got shape {tokens.shape}")
+        require(values.shape == (tokens.shape[0],),
+                f"values shape {values.shape} must be ({tokens.shape[0]},)")
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -97,19 +94,19 @@ class LoopConfig:
         for name in ("rounds", "evals_per_round", "presolver_rounds",
                      "seeds_per_round", "refine_iters", "samples_per_iter",
                      "num_neighbors"):
-            _require(getattr(self, name) >= 1, f"{name} must be >= 1")
-        _require(len(self.base_temperatures) >= 1, "base_temperatures must be nonempty")
-        _require(all(t >= 0 for t in self.base_temperatures),
-                 "base_temperatures must be nonnegative")
+            require(getattr(self, name) >= 1, f"{name} must be >= 1")
+        require(len(self.base_temperatures) >= 1, "base_temperatures must be nonempty")
+        require(all(t >= 0 for t in self.base_temperatures),
+                "base_temperatures must be nonnegative")
         if self.likelihood_floor is not None:
-            _require(0.0 < self.likelihood_floor < 1.0,
-                     f"likelihood_floor must be in (0, 1), got {self.likelihood_floor}")
-        _require(0.0 <= self.max_infeasible_fraction < 1.0,
-                 f"max_infeasible_fraction must be in [0, 1), got {self.max_infeasible_fraction}")
-        _require(self.dataset_mode in ("pairs", "triples"),
-                 f"dataset_mode must be 'pairs' or 'triples', got {self.dataset_mode!r}")
-        _require(0.0 <= self.distance_threshold <= 1.0,
-                 f"distance_threshold must be in [0, 1], got {self.distance_threshold}")
+            require(0.0 < self.likelihood_floor < 1.0,
+                    f"likelihood_floor must be in (0, 1), got {self.likelihood_floor}")
+        require(0.0 <= self.max_infeasible_fraction < 1.0,
+                f"max_infeasible_fraction must be in [0, 1), got {self.max_infeasible_fraction}")
+        require(self.dataset_mode in ("pairs", "triples"),
+                f"dataset_mode must be 'pairs' or 'triples', got {self.dataset_mode!r}")
+        require(0.0 <= self.distance_threshold <= 1.0,
+                f"distance_threshold must be in [0, 1], got {self.distance_threshold}")
 
     def log_likelihood_floor(self, length: int) -> float:
         if self.likelihood_floor is None:
@@ -228,8 +225,8 @@ def format_dataset(scored: ScoredSet, mode: str = "pairs",
     carry f = -inf, they never appear as improvements. An empty result
     is legal.
     """
-    _require(mode in ("pairs", "triples"), f"mode must be 'pairs' or 'triples', got {mode!r}")
-    _require(len(scored) >= 1, "scored set must be nonempty")
+    require(mode in ("pairs", "triples"), f"mode must be 'pairs' or 'triples', got {mode!r}")
+    require(len(scored) >= 1, "scored set must be nonempty")
     tokens, values = scored.tokens, scored.values
     n, length = tokens.shape
     pair_idx: list[tuple[int, int]] = []
@@ -284,8 +281,8 @@ def adjust_temperatures(base, prev_mean_hamming: float) -> tuple:
     Mean fractional edit distance below 0.075 adds 0.6; [0.075, 0.1)
     adds 0.4; [0.1, 0.125) adds 0.2; anything higher keeps the base.
     """
-    _require(0.0 <= prev_mean_hamming <= 1.0,
-             f"prev_mean_hamming must be in [0, 1], got {prev_mean_hamming}")
+    require(0.0 <= prev_mean_hamming <= 1.0,
+            f"prev_mean_hamming must be in [0, 1], got {prev_mean_hamming}")
     if prev_mean_hamming < 0.075:
         bump = 0.6
     elif prev_mean_hamming < 0.1:
@@ -306,7 +303,7 @@ def iterative_refinement(generator, scored: ScoredSet, config: LoopConfig,
     highest-likelihood sample of the previous step. No oracle calls are
     made. Duplicate token vectors keep their maximum log-likelihood.
     """
-    _require(len(scored) >= 1, "scored set must be nonempty")
+    require(len(scored) >= 1, "scored set must be nonempty")
     if temperatures is None:
         temperatures = config.base_temperatures
     order = np.argsort(-scored.values, kind="stable")[: config.seeds_per_round]
@@ -387,13 +384,6 @@ def iterative_refinement(generator, scored: ScoredSet, config: LoopConfig,
     )
 
 
-def structural_feasibility(tokens: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Transition-mask feasibility for a candidate batch (no oracle)."""
-    if tokens.shape[1] < 2:
-        return np.ones(tokens.shape[0], dtype=bool)
-    return mask[tokens[:, :-1], tokens[:, 1:]].all(axis=1)
-
-
 def filter_candidates(candidates: CandidateSet, mask: np.ndarray, j: int,
                       log_p_min: float, p_max_infeas: float,
                       seed: rng.SeedLike = 0) -> CandidateSet:
@@ -404,12 +394,12 @@ def filter_candidates(candidates: CandidateSet, mask: np.ndarray, j: int,
     subsampling, then uniformly subsamples to at most j. Output
     preserves the candidate order (ascending original index).
     """
-    _require(j >= 1, f"j must be >= 1, got {j}")
+    require(j >= 1, f"j must be >= 1, got {j}")
     keep = np.flatnonzero(candidates.logliks > log_p_min)
     if keep.size == 0:
         return candidates.take(keep)
 
-    feasible = structural_feasibility(candidates.tokens[keep], mask)
+    feasible = feasible_rows(candidates.tokens[keep], mask)
     feasible_ids = keep[feasible]
     infeasible_ids = keep[~feasible]
     cap = int(math.floor(feasible_ids.size * p_max_infeas / (1.0 - p_max_infeas)))
@@ -426,26 +416,6 @@ def filter_candidates(candidates: CandidateSet, mask: np.ndarray, j: int,
     return candidates.take(kept)
 
 
-class _RecordingOracle:
-    """Wraps a function to capture every scored batch (presolver data)."""
-
-    def __init__(self, function):
-        self._function = function
-        self.params = function.params
-        self.tokens: list[np.ndarray] = []
-        self.values: list[np.ndarray] = []
-
-    def initial_solution(self):
-        return self._function.initial_solution()
-
-    def evaluate_batch(self, tokens, backend=None):
-        tokens = np.atleast_2d(np.asarray(tokens, dtype=np.int64))
-        values = self._function.evaluate_batch(tokens, backend=backend)
-        self.tokens.append(tokens.copy())
-        self.values.append(np.asarray(values, dtype=np.float64))
-        return values
-
-
 def run_presolver(function, ga_config: GAConfig, presolver_rounds: int) -> PresolverData:
     """Run the evolution presolver on a budget of presolver_rounds batches.
 
@@ -454,16 +424,13 @@ def run_presolver(function, ga_config: GAConfig, presolver_rounds: int) -> Preso
     (presolver_rounds - 1) full steps are scored. Everything scored is
     returned as labeled data.
     """
-    _require(presolver_rounds >= 1, f"presolver_rounds must be >= 1, got {presolver_rounds}")
-    recorder = _RecordingOracle(function)
-    state = run_ga(recorder, ga_config,
+    require(presolver_rounds >= 1, f"presolver_rounds must be >= 1, got {presolver_rounds}")
+    ledger = EvalLedger(function)
+    state = run_ga(ledger, ga_config,
                    budget=presolver_rounds * ga_config.num_particles,
                    stop_on_optimum=False)
     return PresolverData(
-        scored=ScoredSet(
-            tokens=np.concatenate(recorder.tokens, axis=0),
-            values=np.concatenate(recorder.values, axis=0),
-        ),
+        scored=ScoredSet(tokens=ledger.tokens(), values=ledger.values()),
         incumbent=state.incumbent,
         evals_used=state.evals_used,
     )

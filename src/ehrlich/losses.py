@@ -15,14 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidParamsError, ParseError
+from .errors import ConvergenceError, ParseError, require
 
 LOSS_BATCH_VERSION = 1
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidParamsError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -42,12 +37,12 @@ class DiscretePolicy:
     def __post_init__(self) -> None:
         probs = np.asarray(self.probabilities, dtype=np.float64)
         object.__setattr__(self, "probabilities", probs)
-        _require(probs.ndim in (1, 2), f"probabilities must be 1-D or 2-D, got {probs.ndim}-D")
-        _require(probs.size > 0, "probabilities must be nonempty")
-        _require(bool((probs >= 0).all()), "probabilities must be nonnegative")
+        require(probs.ndim in (1, 2), f"probabilities must be 1-D or 2-D, got {probs.ndim}-D")
+        require(probs.size > 0, "probabilities must be nonempty")
+        require(bool((probs >= 0).all()), "probabilities must be nonnegative")
         sums = probs.sum(axis=-1)
-        _require(bool(np.abs(sums - 1.0).max() <= 1e-12),
-                 f"each distribution must sum to 1 within 1e-12, worst error {np.abs(sums - 1.0).max():.3e}")
+        require(bool(np.abs(sums - 1.0).max() <= 1e-12),
+                f"each distribution must sum to 1 within 1e-12, worst error {np.abs(sums - 1.0).max():.3e}")
 
     @property
     def num_outcomes(self) -> int:
@@ -67,7 +62,7 @@ class DiscretePolicy:
 
     @classmethod
     def uniform(cls, num_outcomes: int) -> "DiscretePolicy":
-        _require(num_outcomes >= 1, "num_outcomes must be >= 1")
+        require(num_outcomes >= 1, "num_outcomes must be >= 1")
         return cls(np.full(num_outcomes, 1.0 / num_outcomes))
 
 
@@ -75,7 +70,7 @@ def kl_divergence(p, q) -> float:
     """KL(p || q) with 0·log 0 := 0; +inf when p has mass where q has none."""
     p = _probs_of(p)
     q = _probs_of(q)
-    _require(p.shape == q.shape, f"shape mismatch {p.shape} vs {q.shape}")
+    require(p.shape == q.shape, f"shape mismatch {p.shape} vs {q.shape}")
     support = p > 0
     if bool((q[support] == 0).any()):
         return math.inf
@@ -107,7 +102,7 @@ def margin_reward(f_x, f_y):
 def boltzmann_target(rewards, beta: float) -> DiscretePolicy:
     """Probabilities proportional to exp(beta * reward)."""
     rewards = np.asarray(rewards, dtype=np.float64)
-    _require(bool(np.isfinite(rewards).all()), "rewards must be finite")
+    require(bool(np.isfinite(rewards).all()), "rewards must be finite")
     return DiscretePolicy.from_logits(beta * rewards)
 
 
@@ -121,8 +116,8 @@ class LossConfig:
     lam: float = 0.0
 
     def __post_init__(self) -> None:
-        _require(self.beta > 0, f"beta must be positive, got {self.beta}")
-        _require(self.lam >= 0, f"lam must be nonnegative, got {self.lam}")
+        require(self.beta > 0, f"beta must be positive, got {self.beta}")
+        require(self.lam >= 0, f"lam must be nonnegative, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -147,12 +142,12 @@ class LossBatch:
                           ("log_pi_theta", log_pi_theta), ("log_pi_ref", log_pi_ref),
                           ("rewards", rewards), ("lengths", lengths)):
             object.__setattr__(self, name, arr)
-            _require(arr.shape == x_ids.shape, f"{name} shape {arr.shape} != {x_ids.shape}")
-        _require(x_ids.ndim == 1 and x_ids.size >= 1, "batch must be a nonempty 1-D record set")
-        _require(bool(np.isfinite(log_pi_theta).all()), "log_pi_theta must be finite")
-        _require(bool(np.isfinite(log_pi_ref).all()), "log_pi_ref must be finite")
-        _require(bool(np.isfinite(rewards).all()), "rewards must be finite")
-        _require(bool((lengths >= 1).all()), "lengths must be >= 1")
+            require(arr.shape == x_ids.shape, f"{name} shape {arr.shape} != {x_ids.shape}")
+        require(x_ids.ndim == 1 and x_ids.size >= 1, "batch must be a nonempty 1-D record set")
+        require(bool(np.isfinite(log_pi_theta).all()), "log_pi_theta must be finite")
+        require(bool(np.isfinite(log_pi_ref).all()), "log_pi_ref must be finite")
+        require(bool(np.isfinite(rewards).all()), "rewards must be finite")
+        require(bool((lengths >= 1).all()), "lengths must be >= 1")
 
     def __len__(self) -> int:
         return self.x_ids.shape[0]
@@ -263,8 +258,8 @@ def dpo_loss(ratio_w, ratio_l, beta: float = 1.0) -> float:
     """mean(-log sigmoid(beta * (ratio_w - ratio_l))) over preference pairs."""
     ratio_w = np.asarray(ratio_w, dtype=np.float64)
     ratio_l = np.asarray(ratio_l, dtype=np.float64)
-    _require(ratio_w.shape == ratio_l.shape, "ratio arrays must have equal shape")
-    _require(ratio_w.size >= 1, "need at least one preference pair")
+    require(ratio_w.shape == ratio_l.shape, "ratio arrays must have equal shape")
+    require(ratio_w.size >= 1, "need at least one preference pair")
     return float(np.mean(-_log_sigmoid(beta * (ratio_w - ratio_l))))
 
 
@@ -362,7 +357,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def frekl_objective(pi_theta, pi_star, pi_ref, lam: float) -> float:
     """KL(pi_theta || pi_star) + lam * KL(pi_ref || pi_theta), exactly."""
-    _require(lam >= 0, f"lam must be nonnegative, got {lam}")
+    require(lam >= 0, f"lam must be nonnegative, got {lam}")
     forward = kl_divergence(pi_theta, pi_star)
     if lam == 0.0:
         return forward
@@ -389,12 +384,12 @@ def solve_frekl(pi_star, pi_ref, lam: float, tolerance: float = 1e-12,
     """
     star = _probs_of(pi_star)
     ref = _probs_of(pi_ref)
-    _require(star.ndim == 1 and star.shape == ref.shape,
-             "pi_star and pi_ref must be 1-D with equal shape")
-    _require(bool((star > 0).all()), "pi_star must be strictly positive")
-    _require(bool((ref > 0).all()), "pi_ref must be strictly positive")
-    _require(lam >= 0, f"lam must be nonnegative, got {lam}")
-    _require(tolerance > 0, f"tolerance must be positive, got {tolerance}")
+    require(star.ndim == 1 and star.shape == ref.shape,
+            "pi_star and pi_ref must be 1-D with equal shape")
+    require(bool((star > 0).all()), "pi_star must be strictly positive")
+    require(bool((ref > 0).all()), "pi_ref must be strictly positive")
+    require(lam >= 0, f"lam must be nonnegative, got {lam}")
+    require(tolerance > 0, f"tolerance must be positive, got {tolerance}")
 
     # The optimum interpolates pi_star (lam -> 0) and pi_ref (lam -> inf);
     # a log-space blend is an excellent warm start at both extremes.
@@ -443,10 +438,10 @@ def translation_invariance_check(f_values, mode: str = "difference",
     term is a constant shift, so the deviation is zero up to rounding;
     the clipped margin reward breaks that invariance.
     """
-    _require(mode in ("difference", "margin"), f"mode must be 'difference' or 'margin', got {mode!r}")
+    require(mode in ("difference", "margin"), f"mode must be 'difference' or 'margin', got {mode!r}")
     f_values = np.asarray(f_values, dtype=np.float64)
-    _require(f_values.ndim == 1 and f_values.size >= 2, "need a 1-D domain of >= 2 scores")
-    _require(bool(np.isfinite(f_values).all()), "f values must be finite")
+    require(f_values.ndim == 1 and f_values.size >= 2, "need a 1-D domain of >= 2 scores")
+    require(bool(np.isfinite(f_values).all()), "f values must be finite")
     rewards = f_values[None, :] - f_values[:, None]  # [x, y]
     if mode == "margin":
         rewards = np.maximum(rewards, 0.0)

@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError, ParseError
+from .errors import ParseError, require
 from .losses import margin_reward
 
 RUN_RECORD_VERSION = 1
@@ -29,11 +29,6 @@ REGRET_CURVE_VERSION = 1
 PARETO_REPORT_VERSION = 1
 
 _RUN_COLUMNS = ("eval_index", "round", "value", "feasible", "unique")
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise InvalidParamsError(message)
 
 
 def config_hash(config: Mapping) -> str:
@@ -49,7 +44,7 @@ def config_hash(config: Mapping) -> str:
 def unique_flags(tokens: np.ndarray) -> np.ndarray:
     """True at each row's first occurrence within the array."""
     tokens = np.asarray(tokens)
-    _require(tokens.ndim == 2, f"tokens must be 2-D, got shape {tokens.shape}")
+    require(tokens.ndim == 2, f"tokens must be 2-D, got shape {tokens.shape}")
     flags = np.zeros(tokens.shape[0], dtype=bool)
     seen: set[bytes] = set()
     for i, row in enumerate(tokens):
@@ -66,6 +61,7 @@ class EvalLedger:
     Duck-types the parts of the function interface the solvers use
     (``params``, ``transition``, ``initial_solution``,
     ``evaluate_batch``), so it can stand in for the function itself.
+    A batch the wrapped function rejects is not recorded.
     """
 
     def __init__(self, function):
@@ -84,12 +80,10 @@ class EvalLedger:
     def initial_solution(self) -> np.ndarray:
         return self._function.initial_solution()
 
-    def evaluate_batch(self, tokens: np.ndarray, backend: str | None = None) -> np.ndarray:
-        tokens = np.asarray(tokens)
-        values = self._function.evaluate_batch(tokens, backend=backend)
-        batch = tokens.reshape(-1, tokens.shape[-1]) if tokens.ndim > 1 else tokens.reshape(1, -1)
-        self._tokens.append(np.array(batch, dtype=np.int64))
-        self._values.append(np.atleast_1d(np.asarray(values, dtype=np.float64)).copy())
+    def evaluate_batch(self, tokens: np.ndarray) -> np.ndarray:
+        values = self._function.evaluate_batch(tokens)
+        self._tokens.append(np.array(tokens, dtype=np.int64))
+        self._values.append(np.array(values, dtype=np.float64))
         return values
 
     @property
@@ -144,32 +138,32 @@ class RunRecord:
     duration_seconds: float
 
     def __post_init__(self) -> None:
-        _require(bool(self.run_id), "run_id must be nonempty")
+        require(bool(self.run_id), "run_id must be nonempty")
         object.__setattr__(self, "eval_index", np.asarray(self.eval_index, dtype=np.int64))
         object.__setattr__(self, "rounds", np.asarray(self.rounds, dtype=np.int64))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
         object.__setattr__(self, "feasible", np.asarray(self.feasible, dtype=bool))
         object.__setattr__(self, "unique", np.asarray(self.unique, dtype=bool))
         n = self.eval_index.shape[0]
-        _require(n >= 1, "a run record needs at least one evaluation")
+        require(n >= 1, "a run record needs at least one evaluation")
         for name in ("rounds", "values", "feasible", "unique"):
-            _require(
+            require(
                 getattr(self, name).shape == (n,),
                 f"{name} must have shape ({n},), got {getattr(self, name).shape}",
             )
-        _require(
+        require(
             bool(np.all(np.diff(self.eval_index) > 0)) and int(self.eval_index[0]) >= 1,
             "eval_index must be strictly increasing and start at >= 1",
         )
-        _require(bool(np.all(np.diff(self.rounds) >= 0)), "rounds must be nondecreasing")
+        require(bool(np.all(np.diff(self.rounds) >= 0)), "rounds must be nondecreasing")
         neg_inf = np.isneginf(self.values)
-        _require(not np.isnan(self.values).any(), "values must not contain NaN")
-        _require(not np.isposinf(self.values).any(), "values must not contain +inf")
-        _require(
+        require(not np.isnan(self.values).any(), "values must not contain NaN")
+        require(not np.isposinf(self.values).any(), "values must not contain +inf")
+        require(
             bool(np.all(neg_inf == ~self.feasible)),
             "feasible must be False exactly where value is -inf",
         )
-        _require(
+        require(
             float(self.duration_seconds) >= 0.0,
             f"duration_seconds must be >= 0, got {self.duration_seconds}",
         )
@@ -382,25 +376,25 @@ class RegretCurve:
     def __post_init__(self) -> None:
         object.__setattr__(self, "evals", np.asarray(self.evals, dtype=np.int64))
         object.__setattr__(self, "regrets", np.asarray(self.regrets, dtype=np.float64))
-        _require(self.evals.ndim == 1 and self.evals.shape == self.regrets.shape,
-                 "evals and regrets must be 1-D and the same length")
-        _require(self.evals.shape[0] >= 1, "a regret curve needs at least one point")
-        _require(bool(np.all(np.diff(self.evals) > 0)) and int(self.evals[0]) >= 1,
-                 "evals must be strictly increasing and start at >= 1")
+        require(self.evals.ndim == 1 and self.evals.shape == self.regrets.shape,
+                "evals and regrets must be 1-D and the same length")
+        require(self.evals.shape[0] >= 1, "a regret curve needs at least one point")
+        require(bool(np.all(np.diff(self.evals) > 0)) and int(self.evals[0]) >= 1,
+                "evals must be strictly increasing and start at >= 1")
         finite = self.regrets[np.isfinite(self.regrets)]
-        _require(not np.isnan(self.regrets).any(), "regrets must not contain NaN")
-        _require(finite.size == 0 or bool(np.all(finite >= -1e-12)),
-                 "regret must be nonnegative")
+        require(not np.isnan(self.regrets).any(), "regrets must not contain NaN")
+        require(finite.size == 0 or bool(np.all(finite >= -1e-12)),
+                "regret must be nonnegative")
         # direct comparison, not diff: inf - inf is NaN but inf <= inf holds,
         # and a never-feasible run is a legitimate all-inf staircase
-        _require(bool(np.all(self.regrets[1:] <= self.regrets[:-1])),
-                 "min regret must be nonincreasing in evaluations")
+        require(bool(np.all(self.regrets[1:] <= self.regrets[:-1])),
+                "min regret must be nonincreasing in evaluations")
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "RegretCurve":
         values = np.asarray(values, dtype=np.float64)
-        _require(values.ndim == 1 and values.size >= 1,
-                 "values must be a nonempty 1-D array")
+        require(values.ndim == 1 and values.size >= 1,
+                "values must be a nonempty 1-D array")
         best = np.maximum.accumulate(values)
         regrets = np.where(np.isneginf(best), np.inf, 1.0 - best)
         change = np.ones(values.shape[0], dtype=bool)
@@ -457,9 +451,9 @@ class ParetoPoint:
     min_regret: float
 
     def __post_init__(self) -> None:
-        _require(bool(self.label), "label must be nonempty")
-        _require(float(self.budget) > 0, f"budget must be > 0, got {self.budget}")
-        _require(
+        require(bool(self.label), "label must be nonempty")
+        require(float(self.budget) > 0, f"budget must be > 0, got {self.budget}")
+        require(
             float(self.min_regret) >= 0 and not np.isnan(self.min_regret),
             f"min_regret must be >= 0, got {self.min_regret}",
         )
@@ -479,13 +473,13 @@ class ParetoReport:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(self.points))
-        _require(len(self.points) >= 1, "a report needs at least one point")
+        require(len(self.points) >= 1, "a report needs at least one point")
 
     @classmethod
     def from_arrays(cls, labels: Sequence[str], budgets: Sequence[float],
                     regrets: Sequence[float]) -> "ParetoReport":
-        _require(len(labels) == len(budgets) == len(regrets),
-                 "labels, budgets, and regrets must be the same length")
+        require(len(labels) == len(budgets) == len(regrets),
+                "labels, budgets, and regrets must be the same length")
         return cls(points=tuple(
             ParetoPoint(label=l, budget=float(b), min_regret=float(r))
             for l, b, r in zip(labels, budgets, regrets)
@@ -500,11 +494,11 @@ class ParetoReport:
 
     def hypervolume(self, label: str | None = None) -> float:
         chosen = [p for p in self.points if label is None or p.label == label]
-        _require(bool(chosen), f"no points with label {label!r}")
+        require(bool(chosen), f"no points with label {label!r}")
         volume = float(np.mean([p.budget * p.min_regret for p in chosen]))
         # budget > 0 and regret >= 0 are enforced per point, so this
         # cannot go negative; guard anyway since it is the contract.
-        _require(volume >= 0.0, f"hypervolume must be >= 0, got {volume}")
+        require(volume >= 0.0, f"hypervolume must be >= 0, got {volume}")
         return volume
 
     def to_csv(self) -> str:

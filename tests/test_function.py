@@ -1,5 +1,6 @@
 """Core construction and evaluation behavior."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from ehrlich import (
     sample_dmp,
 )
 from ehrlich.function import banded_mask, feasible_count, masked_softmax_rows
+from ehrlich.kernels import available_backends
+from ehrlich.records import EvalLedger
 
 import fixtures
 import oracles
@@ -279,6 +282,29 @@ class TestEvaluate:
     def test_out_of_alphabet_rejected(self, inst_4_16):
         with pytest.raises(InvalidParamsError, match="tokens"):
             inst_4_16.evaluate(np.full(16, 9, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "entry", [f"backend={name}" for name in available_backends()] + ["method", "ledger"]
+    )
+    def test_batch_entry_rejects_out_of_range_tokens(self, inst_32_32, entry):
+        f = inst_32_32
+        ledger = EvalLedger(f)
+        if entry == "method":
+            score = f.evaluate_batch
+        elif entry == "ledger":
+            score = ledger.evaluate_batch
+        else:
+            score = functools.partial(evaluate_batch, f, backend=entry.removeprefix("backend="))
+        # The optimum with one token just outside [0, v): -1 must not wrap
+        # to v - 1 and v must not index past the mask.
+        for bad in (-1, f.params.vocab_size):
+            x = f.optimum.copy()
+            x[0] = bad
+            with pytest.raises(InvalidParamsError, match="tokens"):
+                score(x[None, :])
+        assert ledger.num_calls == 0
+        empty = score(np.zeros((0, f.params.length), dtype=np.int64))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
 
     def test_batch_matches_scalar(self, inst_32_32, rng):
         batch = rng.integers(0, 32, size=(64, 32))

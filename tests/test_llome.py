@@ -7,6 +7,7 @@ import oracles
 from ehrlich.errors import GeneratorCollapseError, InvalidParamsError
 from ehrlich.function import EhrlichParams, ScoredSequence, generate
 from ehrlich.ga import GAConfig
+from ehrlich.kernels import feasible_rows
 from ehrlich.llome import (
     CandidateSet,
     LoopConfig,
@@ -19,7 +20,6 @@ from ehrlich.llome import (
     iterative_refinement,
     run_llome,
     run_presolver,
-    structural_feasibility,
 )
 from ehrlich.proposers import EchoProposer, baseline_mutation_proposer
 
@@ -265,7 +265,7 @@ def feasible_and_infeasible(inst_4_8):
     forbidden = np.argwhere(~mask)[0]
     infeasible = feasible.copy()
     infeasible[0], infeasible[1] = forbidden
-    assert not structural_feasibility(infeasible[None, :], mask)[0]
+    assert not feasible_rows(infeasible[None, :], mask)[0]
     return mask, feasible, infeasible
 
 
@@ -282,14 +282,14 @@ class TestFilterCandidates:
         cands = make_candidates(tokens, np.zeros(4))
         out = filter_candidates(cands, mask, 10, log_p_min=-10.0, p_max_infeas=0.0, seed=0)
         assert len(out) == 2
-        assert structural_feasibility(out.tokens, mask).all()
+        assert feasible_rows(out.tokens, mask).all()
 
     def test_infeasible_cap(self, feasible_and_infeasible):
         mask, feasible, infeasible = feasible_and_infeasible
         tokens = np.concatenate([np.tile(feasible, (100, 1)), np.tile(infeasible, (100, 1))])
         cands = make_candidates(tokens, np.zeros(200))
         out = filter_candidates(cands, mask, 500, log_p_min=-10.0, p_max_infeas=0.2, seed=1)
-        kept_infeasible = int((~structural_feasibility(out.tokens, mask)).sum())
+        kept_infeasible = int((~feasible_rows(out.tokens, mask)).sum())
         # floor(100 * 0.2/0.8) = 25
         assert kept_infeasible == 25
         assert len(out) == 125
