@@ -313,20 +313,23 @@ def cmd_run_llome(args) -> int:
         proposer = baseline_mutation_proposer(
             args.mutation_rate, function.params.vocab_size, function.params.length
         )
+        # The presolver keeps everything it scored; the ledger records the loop.
         ledger = EvalLedger(function)
         start = time.perf_counter()
-        presolved = run_presolver(ledger, ga_config, config.presolver_rounds)
+        presolved = run_presolver(function, ga_config, config.presolver_rounds)
         result = run_llome(ledger, proposer, config, presolved)
         duration = time.perf_counter() - start
+        tokens = np.concatenate([presolved.scored.tokens, ledger.tokens()])
+        values = np.concatenate([presolved.scored.values, ledger.values()])
         rounds = np.concatenate(
             [np.zeros(presolved.evals_used, dtype=np.int64)]
             + [np.full(stats.oracle_calls, stats.round_index, dtype=np.int64)
                for stats in result.rounds]
         )
-        if rounds.shape[0] != ledger.num_evals:
+        if rounds.shape[0] != values.shape[0]:
             raise GenerationError(
                 f"evaluation accounting mismatch: {rounds.shape[0]} labeled "
-                f"vs {ledger.num_evals} recorded"
+                f"vs {values.shape[0]} recorded"
             )
         run_id = f"llome-{slug}-i{function.params.seed}-s{seed}"
         record = make_run_record(
@@ -339,8 +342,8 @@ def cmd_run_llome(args) -> int:
                 presolver_particles=args.presolver_particles,
                 mutation_rate=args.mutation_rate,
             ),
-            tokens=ledger.tokens(),
-            values=ledger.values(),
+            tokens=tokens,
+            values=values,
             rounds=rounds,
             duration_seconds=duration,
         )

@@ -459,8 +459,13 @@ def generate(params: EhrlichParams) -> EhrlichFunction:
 
 
 def is_feasible(tokens: np.ndarray, transition: TransitionMatrix) -> bool:
-    """True iff every adjacent transition in the sequence is allowed."""
-    return bool(feasible_rows(np.asarray(tokens, dtype=np.int64)[None, :], transition.mask)[0])
+    """True iff every adjacent transition in the sequence is allowed.
+
+    Raises ``InvalidParamsError`` for a token outside [0, v).
+    """
+    tokens = np.asarray(tokens, dtype=np.int64)
+    _require_tokens_in_range(tokens, transition.mask.shape[0])
+    return bool(feasible_rows(tokens[None, :], transition.mask)[0])
 
 
 def motif_score(tokens, motif, offsets, quantization: int) -> Fraction:
@@ -523,10 +528,7 @@ def evaluate_batch(
     require(tokens.ndim == 2 and tokens.shape[1] == params.length,
             f"batch must have shape (N, {params.length}) for sequence length "
             f"{params.length}, got {tokens.shape}")
-    if tokens.size:
-        low, high = int(tokens.min()), int(tokens.max())
-        require(low >= 0 and high < params.vocab_size,
-                f"sequence tokens must lie in [0, {params.vocab_size}), got [{low}, {high}]")
+    _require_tokens_in_range(tokens, params.vocab_size)
     return score_batch(
         tokens,
         function.transition.mask,
@@ -537,6 +539,18 @@ def evaluate_batch(
         float(params.epistasis_factor),
         backend=backend,
     )
+
+
+def _require_tokens_in_range(tokens: np.ndarray, vocab_size: int) -> None:
+    """The one token range check: every token lies in [0, vocab_size).
+
+    The kernels and the feasibility helper index the transition mask with
+    tokens, so a negative token would wrap and one >= v would overflow.
+    """
+    if tokens.size:
+        low, high = int(tokens.min()), int(tokens.max())
+        require(low >= 0 and high < vocab_size,
+                f"sequence tokens must lie in [0, {vocab_size}), got [{low}, {high}]")
 
 
 def regret(function: EhrlichFunction, tokens) -> float:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -29,6 +31,9 @@ REGRET_CURVE_VERSION = 1
 PARETO_REPORT_VERSION = 1
 
 _RUN_COLUMNS = ("eval_index", "round", "value", "feasible", "unique")
+_RUN_DTYPE = np.dtype([(name, np.float64 if name == "value" else np.int64)
+                       for name in _RUN_COLUMNS])
+_CURVE_DTYPE = np.dtype([("evals_used", np.int64), ("min_regret", np.float64)])
 
 
 def config_hash(config: Mapping) -> str:
@@ -201,15 +206,12 @@ class RunRecord:
             f"# duration_seconds={self.duration_seconds!r}",
             ",".join(_RUN_COLUMNS),
         ]
-        for i in range(self.num_evals):
-            lines.append(
-                f"{int(self.eval_index[i])},{int(self.rounds[i])},{float(self.values[i])!r},"
-                f"{int(self.feasible[i])},{int(self.unique[i])}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = map(",".join, zip(*(_texts(c, repr) for c in self._columns())))
+        return "\n".join(lines) + "\n" + "\n".join(rows) + "\n"
 
     def to_json(self) -> str:
-        payload = {
+        """The JSON mirror, laid out exactly as ``json.dumps(payload, indent=2)``."""
+        head = json.dumps({
             "format": "run-record",
             "version": RUN_RECORD_VERSION,
             "run_id": self.run_id,
@@ -218,15 +220,34 @@ class RunRecord:
             "solver": self.solver,
             "config_hash": self.config_hash,
             "duration_seconds": self.duration_seconds,
-            "evals": {
-                "eval_index": self.eval_index.tolist(),
-                "round": self.rounds.tolist(),
-                "value": self.values.tolist(),
-                "feasible": self.feasible.astype(int).tolist(),
-                "unique": self.unique.astype(int).tolist(),
-            },
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        }, indent=2)
+        evals = ",\n".join(
+            f'    "{name}": [\n      ' + ",\n      ".join(_texts(column, _json_number)) + "\n    ]"
+            for name, column in zip(_RUN_COLUMNS, self._columns())
+        )
+        # head ends with "\n}"; the evals object goes in as its last member
+        return head[:-2] + ',\n  "evals": {\n' + evals + "\n  }\n}\n"
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        """The rows' fields as 64-bit arrays, in ``_RUN_COLUMNS`` order."""
+        return (self.eval_index, self.rounds, self.values,
+                self.feasible.astype(np.int64), self.unique.astype(np.int64))
+
+
+def _json_number(x: int | float) -> str:
+    """``json.dumps(x)`` for a number, without its per-call overhead."""
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _texts(column: np.ndarray, fmt) -> list[str]:
+    """``fmt`` of every element, called once per distinct 64-bit pattern.
+
+    Distinct by bit pattern, not by value, so -0.0 and 0.0 keep their own
+    text.
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(fmt, bits.view(column.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def make_run_record(
@@ -257,65 +278,70 @@ def make_run_record(
     )
 
 
-def _parse_header(text: str, kind: str, version: int) -> tuple[dict, list[str]]:
-    """Split a record file into (metadata, data lines), checking the version."""
-    meta: dict[str, str] = {}
-    data: list[str] = []
-    lines = text.splitlines()
-    if not lines or not lines[0].startswith(f"# {kind} v"):
+def _read_header(handle: TextIO, kind: str, version: int) -> tuple[dict[str, str], str]:
+    """Read a record file's version line, metadata lines and column header.
+
+    Returns (metadata, column header) and leaves ``handle`` at the first
+    data row; the column header is "" when the file has none.
+    """
+    first = handle.readline().rstrip("\n")
+    if not first.startswith(f"# {kind} v"):
         raise ParseError(f"missing '# {kind} v<N>' version line")
-    got = lines[0][len(f"# {kind} v"):].strip()
+    got = first[len(f"# {kind} v"):].strip()
     if got != str(version):
         raise ParseError(f"unsupported {kind} version {got!r} (expected {version})")
-    for line in lines[1:]:
+    meta: dict[str, str] = {}
+    for line in iter(handle.readline, ""):
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
+            key, sep, value = line[1:].partition("=")
+            if sep:
                 meta[key.strip()] = value.strip()
         elif line.strip():
-            data.append(line)
-    return meta, data
+            return meta, line.rstrip("\n")
+    return meta, ""
+
+
+def _load_rows(handle: TextIO, dtype: np.dtype, what: str) -> np.ndarray:
+    """Parse the rest of ``handle`` as CSV rows of ``dtype`` (in C, via loadtxt).
+
+    Comment and empty lines are skipped. A malformed row, an int field
+    holding a float, or no rows at all raise ParseError.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(handle, delimiter=",", dtype=dtype, ndmin=1)
+    except ValueError as exc:
+        raise ParseError(f"{what} data line: {exc}") from None
+    if rows.size == 0:
+        raise ParseError(f"{what} has no data rows")
+    return rows
 
 
 def read_run_record(path: str | Path) -> RunRecord:
     """Parse a run-record CSV written by :func:`write_run_record`."""
-    meta, data = _parse_header(Path(path).read_text(), "run-record", RUN_RECORD_VERSION)
-    for key in ("run_id", "instance", "instance_seed", "solver", "config_hash",
-                "duration_seconds"):
-        if key not in meta:
-            raise ParseError(f"run record is missing metadata line '# {key}=...'")
-    if not data or data[0].split(",") != list(_RUN_COLUMNS):
-        raise ParseError(
-            f"run record column header must be {','.join(_RUN_COLUMNS)!r}"
-        )
-    rows = []
-    for line_no, line in enumerate(data[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != len(_RUN_COLUMNS):
+    with open(path) as handle:
+        meta, header = _read_header(handle, "run-record", RUN_RECORD_VERSION)
+        for key in ("run_id", "instance", "instance_seed", "solver", "config_hash",
+                    "duration_seconds"):
+            if key not in meta:
+                raise ParseError(f"run record is missing metadata line '# {key}=...'")
+        if header.split(",") != list(_RUN_COLUMNS):
             raise ParseError(
-                f"data line {line_no}: expected {len(_RUN_COLUMNS)} fields, got {len(parts)}"
+                f"run record column header must be {','.join(_RUN_COLUMNS)!r}"
             )
-        try:
-            rows.append(
-                (int(parts[0]), int(parts[1]), float(parts[2]), int(parts[3]), int(parts[4]))
-            )
-        except ValueError as exc:
-            raise ParseError(f"data line {line_no}: {exc}") from None
-    if not rows:
-        raise ParseError("run record has no evaluation rows")
-    cols = list(zip(*rows))
+        rows = _load_rows(handle, _RUN_DTYPE, "run record")
     return RunRecord(
         run_id=meta["run_id"],
         instance_name=meta["instance"],
         instance_seed=int(meta["instance_seed"]),
         solver=meta["solver"],
         config_hash=meta["config_hash"],
-        eval_index=np.asarray(cols[0], dtype=np.int64),
-        rounds=np.asarray(cols[1], dtype=np.int64),
-        values=np.asarray(cols[2], dtype=np.float64),
-        feasible=np.asarray(cols[3], dtype=bool),
-        unique=np.asarray(cols[4], dtype=bool),
+        eval_index=rows["eval_index"],
+        rounds=rows["round"],
+        values=rows["value"],
+        feasible=rows["feasible"],
+        unique=rows["unique"],
         duration_seconds=float(meta["duration_seconds"]),
     )
 
@@ -426,22 +452,12 @@ class RegretCurve:
 
 
 def read_regret_curve(path: str | Path) -> RegretCurve:
-    _, data = _parse_header(Path(path).read_text(), "regret-curve", REGRET_CURVE_VERSION)
-    if not data or data[0] != "evals_used,min_regret":
-        raise ParseError("regret curve column header must be 'evals_used,min_regret'")
-    evals, regrets = [], []
-    for line_no, line in enumerate(data[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"data line {line_no}: expected 2 fields, got {len(parts)}")
-        try:
-            evals.append(int(parts[0]))
-            regrets.append(float(parts[1]))
-        except ValueError as exc:
-            raise ParseError(f"data line {line_no}: {exc}") from None
-    if not evals:
-        raise ParseError("regret curve has no points")
-    return RegretCurve(evals=np.asarray(evals), regrets=np.asarray(regrets))
+    with open(path) as handle:
+        _, header = _read_header(handle, "regret-curve", REGRET_CURVE_VERSION)
+        if header != "evals_used,min_regret":
+            raise ParseError("regret curve column header must be 'evals_used,min_regret'")
+        rows = _load_rows(handle, _CURVE_DTYPE, "regret curve")
+    return RegretCurve(evals=rows["evals_used"], regrets=rows["min_regret"])
 
 
 @dataclass(frozen=True)
@@ -509,11 +525,14 @@ class ParetoReport:
 
 
 def read_pareto_report(path: str | Path) -> ParetoReport:
-    _, data = _parse_header(Path(path).read_text(), "pareto-report", PARETO_REPORT_VERSION)
-    if not data or data[0] != "label,budget,min_regret":
-        raise ParseError("pareto report column header must be 'label,budget,min_regret'")
+    with open(path) as handle:
+        _, header = _read_header(handle, "pareto-report", PARETO_REPORT_VERSION)
+        if header != "label,budget,min_regret":
+            raise ParseError("pareto report column header must be 'label,budget,min_regret'")
+        data = [line.rstrip("\n") for line in handle
+                if line.strip() and not line.startswith("#")]
     points = []
-    for line_no, line in enumerate(data[1:], start=2):
+    for line_no, line in enumerate(data, start=2):
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"data line {line_no}: expected 3 fields, got {len(parts)}")
@@ -546,20 +565,25 @@ class RoundSummary:
 
 
 def round_summaries(record: RunRecord) -> list[RoundSummary]:
-    """Per-round table for a record; every field derives from its rows."""
+    """Per-round table for a record; every field derives from its rows.
+
+    Rounds are nondecreasing, so each round is one contiguous run of rows.
+    """
     summaries: list[RoundSummary] = []
     incumbent = float("-inf")
-    for round_index in np.unique(record.rounds):
-        in_round = record.rounds == round_index
-        values = record.values[in_round]
+    rounds = record.rounds
+    starts = np.flatnonzero(rounds[1:] != rounds[:-1]) + 1
+    bounds = zip([0, *starts.tolist()], [*starts.tolist(), record.num_evals])
+    for start, stop in bounds:
+        values = record.values[start:stop]
         rewards = np.atleast_1d(margin_reward(incumbent, values))
-        feasible = record.feasible[in_round]
+        feasible = record.feasible[start:stop]
         if feasible.any():
             incumbent = max(incumbent, float(values[feasible].max()))
         summaries.append(RoundSummary(
-            round_index=int(round_index),
-            num_evals=int(in_round.sum()),
-            unique_pct=float(record.unique[in_round].mean() * 100.0),
+            round_index=int(rounds[start]),
+            num_evals=stop - start,
+            unique_pct=float(record.unique[start:stop].mean() * 100.0),
             feasible_pct=float(feasible.mean() * 100.0),
             mean_margin_reward=float(rewards.mean()),
             max_margin_reward=float(rewards.max()),

@@ -284,7 +284,9 @@ class TestEvaluate:
             inst_4_16.evaluate(np.full(16, 9, dtype=np.int64))
 
     @pytest.mark.parametrize(
-        "entry", [f"backend={name}" for name in available_backends()] + ["method", "ledger"]
+        "entry",
+        [f"backend={name}" for name in available_backends()]
+        + ["method", "ledger", "is_feasible"],
     )
     def test_batch_entry_rejects_out_of_range_tokens(self, inst_32_32, entry):
         f = inst_32_32
@@ -293,6 +295,10 @@ class TestEvaluate:
             score = f.evaluate_batch
         elif entry == "ledger":
             score = ledger.evaluate_batch
+        elif entry == "is_feasible":
+            def score(batch):
+                return np.array([is_feasible(row, f.transition) for row in batch],
+                                dtype=np.float64)
         else:
             score = functools.partial(evaluate_batch, f, backend=entry.removeprefix("backend="))
         # The optimum with one token just outside [0, v): -1 must not wrap

@@ -1,5 +1,7 @@
 """Run records, regret curves, Pareto reports, and round summaries."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ehrlich import (
     ParetoReport,
     ParseError,
     RegretCurve,
+    RoundSummary,
     RunRecord,
     config_hash,
     make_run_record,
@@ -23,6 +26,7 @@ from ehrlich import (
     unique_flags,
     write_run_record,
 )
+from ehrlich.losses import margin_reward
 
 
 def small_record(values, rounds=None, tokens=None, duration=0.5):
@@ -44,6 +48,82 @@ def small_record(values, rounds=None, tokens=None, duration=0.5):
         rounds=rounds,
         duration_seconds=duration,
     )
+
+
+# Reference writers and summariser: the straightforward per-row forms the
+# vectorized code in ``records`` must match exactly.
+
+def oracle_csv(record):
+    lines = [
+        "# run-record v1",
+        f"# run_id={record.run_id}",
+        f"# instance={record.instance_name}",
+        f"# instance_seed={record.instance_seed}",
+        f"# solver={record.solver}",
+        f"# config_hash={record.config_hash}",
+        f"# duration_seconds={record.duration_seconds!r}",
+        "eval_index,round,value,feasible,unique",
+    ]
+    for i in range(record.num_evals):
+        lines.append(
+            f"{int(record.eval_index[i])},{int(record.rounds[i])},{float(record.values[i])!r},"
+            f"{int(record.feasible[i])},{int(record.unique[i])}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def oracle_json(record):
+    payload = {
+        "format": "run-record",
+        "version": 1,
+        "run_id": record.run_id,
+        "instance": record.instance_name,
+        "instance_seed": record.instance_seed,
+        "solver": record.solver,
+        "config_hash": record.config_hash,
+        "duration_seconds": record.duration_seconds,
+        "evals": {
+            "eval_index": record.eval_index.tolist(),
+            "round": record.rounds.tolist(),
+            "value": record.values.tolist(),
+            "feasible": record.feasible.astype(int).tolist(),
+            "unique": record.unique.astype(int).tolist(),
+        },
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def oracle_round_summaries(record):
+    """One boolean mask over all rows per round."""
+    summaries = []
+    incumbent = float("-inf")
+    for round_index in np.unique(record.rounds):
+        in_round = record.rounds == round_index
+        values = record.values[in_round]
+        rewards = np.atleast_1d(margin_reward(incumbent, values))
+        feasible = record.feasible[in_round]
+        if feasible.any():
+            incumbent = max(incumbent, float(values[feasible].max()))
+        summaries.append(RoundSummary(
+            round_index=int(round_index),
+            num_evals=int(in_round.sum()),
+            unique_pct=float(record.unique[in_round].mean() * 100.0),
+            feasible_pct=float(feasible.mean() * 100.0),
+            mean_margin_reward=float(rewards.mean()),
+            max_margin_reward=float(rewards.max()),
+            min_regret=float("inf") if incumbent == float("-inf") else 1.0 - incumbent,
+        ))
+    return summaries
+
+
+def mixed_record():
+    """-inf, 0.0, -0.0, 2/3 and repeats over gapped rounds, with duplicate rows."""
+    values = [-np.inf, 0.0, -0.0, 2.0 / 3.0, 2.0 / 3.0, 0.5, -np.inf, -0.0, 0.0, 1.0,
+              0.1 + 0.2, 1e-300]
+    rounds = [0, 0, 0, 1, 1, 1, 3, 3, 3, 7, 7, 7]
+    tokens = np.array([[0, 1], [2, 3], [0, 1], [4, 5], [2, 3], [6, 7],
+                       [8, 9], [0, 1], [10, 11], [12, 13], [12, 13], [1, 0]])
+    return small_record(values, rounds=np.array(rounds), tokens=tokens, duration=1 / 3)
 
 
 class TestConfigHash:
@@ -218,6 +298,82 @@ class TestRunRecordPersistence:
         bad.write_text(path.read_text() + "not,a,valid,row,here\n")
         with pytest.raises(ParseError, match="data line"):
             read_run_record(bad)
+
+
+class TestRunRecordBytes:
+    """The writers' output equals the per-row reference writers byte for byte."""
+
+    @pytest.mark.parametrize("make", [mixed_record, lambda: small_record([0.25])],
+                             ids=["mixed", "one-row"])
+    def test_writers_match_reference(self, make, tmp_path):
+        record = make()
+        assert record.to_csv() == oracle_csv(record)
+        assert record.to_json() == oracle_json(record)
+        # a record read back holds strided column views; same bytes again
+        back = read_run_record(write_run_record(record, tmp_path))
+        assert back.to_csv() == oracle_csv(record)
+        assert back.to_json() == oracle_json(record)
+
+    def test_json_escapes_metadata(self):
+        record = RunRecord(
+            run_id='run "é"', instance_name="Ehr(4,8)-2-2-2", instance_seed=3,
+            solver="ga\\x", config_hash="0" * 12, eval_index=[1, 2],
+            rounds=[0, 0], values=[-np.inf, 0.5], feasible=[False, True],
+            unique=[True, True], duration_seconds=0.0,
+        )
+        assert record.to_json() == oracle_json(record)
+        assert json.loads(record.to_json())["run_id"] == 'run "é"'
+
+
+class TestReadRunRecord:
+    @pytest.mark.parametrize("edited", [
+        "6,1,0.5,1",
+        "6,1,half,1,1",
+        "6,1,0.5,1.0,1",
+    ], ids=["short-row-mid-file", "non-numeric-value", "float-in-int-column"])
+    def test_rejects_malformed_data_line(self, tmp_path, edited):
+        text = write_run_record(mixed_record(), tmp_path).read_text()
+        assert "\n6,1,0.5,1,1\n" in text
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text.replace("\n6,1,0.5,1,1\n", f"\n{edited}\n"))
+        with pytest.raises(ParseError, match="data line"):
+            read_run_record(bad)
+
+    def test_rejects_header_without_rows(self, tmp_path):
+        lines = write_run_record(mixed_record(), tmp_path).read_text().splitlines()
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:8]) + "\n")
+        with pytest.raises(ParseError, match="no data rows"):
+            read_run_record(bad)
+
+    def test_accepts_trailing_blank_line(self, tmp_path):
+        path = write_run_record(mixed_record(), tmp_path)
+        padded = tmp_path / "padded.csv"
+        padded.write_text(path.read_text() + "\n")
+        assert read_run_record(padded).to_csv() == oracle_csv(mixed_record())
+
+
+class TestRoundSummariesMatchReference:
+    @pytest.mark.parametrize("values, rounds", [
+        ([0.25, 0.5, -np.inf, 0.75, 0.75, 0.5], [0, 0, 2, 5, 5, 5]),
+        ([0.5, -np.inf, 0.25, 1.0], [1, 2, 3, 4]),
+        ([0.5, 0.25, -np.inf, -np.inf, -np.inf, 0.75], [0, 0, 1, 1, 1, 2]),
+    ], ids=["gapped-labels", "single-eval-rounds", "all-infeasible-round"])
+    def test_cases(self, values, rounds):
+        tokens = np.array([[0, 1], [0, 1], [2, 3], [4, 5], [2, 3], [6, 7]])[:len(values)]
+        record = small_record(values, rounds=np.array(rounds), tokens=tokens)
+        assert round_summaries(record) == oracle_round_summaries(record)
+
+    def test_random_records(self, rng):
+        levels = np.array([-np.inf, 0.0, -0.0, 1 / 3, 2 / 3, 0.1, 1.0])
+        for _ in range(20):
+            n = int(rng.integers(1, 3000))
+            rounds = np.sort(rng.integers(0, 40, size=n))
+            record = small_record(levels[rng.integers(0, levels.size, size=n)],
+                                  rounds=rounds, tokens=rng.integers(0, 3, size=(n, 3)))
+            assert round_summaries(record) == oracle_round_summaries(record)
+            assert record.to_csv() == oracle_csv(record)
+            assert record.to_json() == oracle_json(record)
 
 
 class TestRegretCurve:
