@@ -192,16 +192,9 @@ class LlomeResult:
         return regret_of_value(self.best.value)
 
 
-def hamming_matrix(tokens: np.ndarray, block: int = 256) -> np.ndarray:
-    """Pairwise Hamming distances (token counts) in row blocks."""
-    n = tokens.shape[0]
-    out = np.empty((n, n), dtype=np.int64)
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        out[start:stop] = (
-            tokens[start:stop, None, :] != tokens[None, :, :]
-        ).sum(axis=2)
-    return out
+# (anchor, labeled row) distances format_dataset holds at once, in row
+# blocks; each costs about 30 bytes of scratch.
+_BLOCK_ELEMENTS = 1 << 21
 
 
 def _lexicographic_ranks(tokens: np.ndarray) -> np.ndarray:
@@ -210,6 +203,21 @@ def _lexicographic_ranks(tokens: np.ndarray) -> np.ndarray:
     ranks = np.empty(tokens.shape[0], dtype=np.int64)
     ranks[order] = np.arange(tokens.shape[0])
     return ranks
+
+
+def _position_one_hot(tokens: np.ndarray) -> np.ndarray:
+    """(N, W) float32 indicator of each row's (position, token) pairs.
+
+    W counts the distinct pairs present, so any int64 token values work,
+    and the dot product of two rows is their number of matching positions.
+    """
+    n, length = tokens.shape
+    distinct, codes = np.unique(tokens, return_inverse=True)
+    cells = codes.reshape(n, length) + np.arange(length) * distinct.size
+    distinct, cells = np.unique(cells, return_inverse=True)
+    one_hot = np.zeros((n, distinct.size), dtype=np.float32)
+    np.put_along_axis(one_hot, cells.reshape(n, length), 1.0, axis=1)
+    return one_hot
 
 
 def format_dataset(scored: ScoredSet, mode: str = "pairs",
@@ -224,52 +232,61 @@ def format_dataset(scored: ScoredSet, mode: str = "pairs",
     must both lie within delta_x of the anchor. Since infeasible entries
     carry f = -inf, they never appear as improvements. An empty result
     is legal.
+
+    Anchors are processed in row blocks, so memory is O(block * N), not
+    O(N^2). Distances are L minus the float32 product of position one-hot
+    rows, which counts matches exactly while L < 2**24.
     """
     require(mode in ("pairs", "triples"), f"mode must be 'pairs' or 'triples', got {mode!r}")
     require(len(scored) >= 1, "scored set must be nonempty")
     tokens, values = scored.tokens, scored.values
     n, length = tokens.shape
-    pair_idx: list[tuple[int, int]] = []
-    triple_idx: list[tuple[int, int, int]] = []
+    pairs: list[tuple[np.ndarray, ...]] = []
+    triples: list[tuple[np.ndarray, ...]] = []
     if n >= 2:
-        distances = hamming_matrix(tokens)
-        ranks = _lexicographic_ranks(tokens)
-        # Composite integer key makes the k-NN selection total-ordered:
-        # distance first, lexicographic rank second.
-        keys = distances * np.int64(n) + ranks[None, :]
-        np.fill_diagonal(keys, np.iinfo(np.int64).max)
+        one_hot = _position_one_hot(tokens)
+        # The composite integer key n * (L - matches) + lexicographic rank
+        # makes the k-NN selection total-ordered: distance first, rank second.
+        key_offsets = length * n + _lexicographic_ranks(tokens)
         kk = min(k_n, n - 1)
-        neighbor_ids = np.argpartition(keys, kk - 1, axis=1)[:, :kk]
-        # argpartition leaves the kept block unordered; sort by key so
-        # neighbor lists are deterministic.
-        row_keys = np.take_along_axis(keys, neighbor_ids, axis=1)
-        neighbor_ids = np.take_along_axis(neighbor_ids, np.argsort(row_keys, axis=1), axis=1)
         max_dist = delta_x * length
-        for i in range(n):
-            improving = []
-            non_improving = []
-            for j in neighbor_ids[i]:
-                if distances[i, j] > max_dist:
-                    continue
-                if values[j] > values[i]:
-                    improving.append(j)
-                elif values[i] >= values[j]:
-                    non_improving.append(j)
-            for j in improving:
-                pair_idx.append((i, j))
-                if mode == "triples":
-                    for k in non_improving:
-                        triple_idx.append((i, j, k))
+        block = max(1, _BLOCK_ELEMENTS // n)
+        for start in range(0, n, block):
+            anchors = np.arange(start, min(start + block, n))
+            keys = (one_hot[start:start + block] @ one_hot.T).astype(np.int64)
+            keys *= -n
+            keys += key_offsets
+            keys[anchors - start, anchors] = np.iinfo(np.int64).max
+            neighbor_ids = np.argpartition(keys, kk - 1, axis=1)[:, :kk]
+            # argpartition leaves the kept block unordered; sort by key so
+            # neighbor lists are deterministic.
+            row_keys = np.take_along_axis(keys, neighbor_ids, axis=1)
+            del keys
+            by_key = np.argsort(row_keys, axis=1)
+            neighbor_ids = np.take_along_axis(neighbor_ids, by_key, axis=1)
+            in_range = np.take_along_axis(row_keys, by_key, axis=1) // n <= max_dist
+            anchor_values = values[anchors, None]
+            neighbor_values = values[neighbor_ids]
+            improving = in_range & (neighbor_values > anchor_values)
+            non_improving = in_range & (anchor_values >= neighbor_values)
+            # np.nonzero walks row-major: anchor, then neighbor order.
+            row, col = np.nonzero(improving)
+            pairs.append((anchors[row], neighbor_ids[row, col]))
+            if mode == "triples":
+                row, win, lose = np.nonzero(improving[:, :, None] & non_improving[:, None, :])
+                triples.append((anchors[row], neighbor_ids[row, win], neighbor_ids[row, lose]))
 
-    empty = np.empty((0, length), dtype=np.int64)
-    pairs = np.array(pair_idx, dtype=np.int64).reshape(-1, 2)
-    triples = np.array(triple_idx, dtype=np.int64).reshape(-1, 3)
+    def rows(parts: list, column: int) -> np.ndarray:
+        if not parts:
+            return np.empty((0, length), dtype=np.int64)
+        return tokens[np.concatenate([part[column] for part in parts])]
+
     return RefinementDataset(
-        pair_inputs=tokens[pairs[:, 0]] if len(pair_idx) else empty,
-        pair_targets=tokens[pairs[:, 1]] if len(pair_idx) else empty,
-        triple_inputs=tokens[triples[:, 0]] if len(triple_idx) else empty,
-        triple_winners=tokens[triples[:, 1]] if len(triple_idx) else empty,
-        triple_losers=tokens[triples[:, 2]] if len(triple_idx) else empty,
+        pair_inputs=rows(pairs, 0),
+        pair_targets=rows(pairs, 1),
+        triple_inputs=rows(triples, 0),
+        triple_winners=rows(triples, 1),
+        triple_losers=rows(triples, 2),
         distance_threshold=delta_x,
         num_neighbors=k_n,
     )
@@ -294,6 +311,40 @@ def adjust_temperatures(base, prev_mean_hamming: float) -> tuple:
     return tuple(t + bump for t in base)
 
 
+def _narrow_dtype(tokens: np.ndarray) -> np.dtype:
+    """Smallest integer dtype holding every value of ``tokens`` exactly."""
+    lo, hi = (int(tokens.min()), int(tokens.max())) if tokens.size else (0, 0)
+    for dtype in (np.uint8, np.int8, np.uint16, np.int16, np.int32):
+        if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _dedupe(rows: np.ndarray, logliks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows in first-seen order, each with its winning proposal.
+
+    Returns (first, winner): indices of each distinct row's first
+    occurrence and of its earliest occurrence at the row's maximum
+    log-likelihood -- what "first seen wins; a strictly higher
+    log-likelihood replaces" leaves behind.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    # A stable sort gathers equal rows and keeps each group in arrival order.
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    is_start = np.r_[True, ranked[1:] != ranked[:-1]]
+    starts = np.flatnonzero(is_start)
+    group = np.cumsum(is_start) - 1
+    ranked_logliks = logliks[order]
+    at_max = np.flatnonzero(
+        ranked_logliks == np.maximum.reduceat(ranked_logliks, starts)[group])
+    leads = at_max[np.r_[True, group[at_max][1:] != group[at_max][:-1]]]
+    first, winner = order[starts], order[leads]
+    by_arrival = np.argsort(first)
+    return first[by_arrival], winner[by_arrival]
+
+
 def iterative_refinement(generator, scored: ScoredSet, config: LoopConfig,
                          temperatures=None, seed: rng.SeedLike = 0) -> CandidateSet:
     """Expand the top-scored seeds into a deduplicated candidate pool.
@@ -311,11 +362,7 @@ def iterative_refinement(generator, scored: ScoredSet, config: LoopConfig,
     seed_values = scored.values[order]
     num_seeds = seeds.shape[0]
 
-    index_of: dict[bytes, int] = {}
-    tokens_out: list[np.ndarray] = []
-    logliks_out: list[float] = []
-    seed_idx_out: list[int] = []
-    seed_val_out: list[float] = []
+    batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     generated = 0
     edit_sum = 0.0
 
@@ -327,21 +374,14 @@ def iterative_refinement(generator, scored: ScoredSet, config: LoopConfig,
         edit_sum += float(
             (proposals != chain_inputs[:, None, :]).mean(axis=2).sum()
         )
-        for s in range(proposals.shape[0]):
-            for c in range(proposals.shape[1]):
-                key = proposals[s, c].tobytes()
-                ll = float(logliks[s, c])
-                at = index_of.get(key)
-                if at is None:
-                    index_of[key] = len(tokens_out)
-                    tokens_out.append(proposals[s, c])
-                    logliks_out.append(ll)
-                    seed_idx_out.append(s)
-                    seed_val_out.append(float(seed_values[s]))
-                elif ll > logliks_out[at]:
-                    logliks_out[at] = ll
-                    seed_idx_out[at] = s
-                    seed_val_out[at] = float(seed_values[s])
+        flat = proposals.reshape(count, proposals.shape[2])
+        flat_logliks = np.array(logliks, dtype=np.float64).reshape(count)
+        require(not np.isnan(flat_logliks).any(), "generator returned a NaN log-likelihood")
+        batches.append((
+            flat.astype(_narrow_dtype(flat)),
+            flat_logliks,
+            np.repeat(np.arange(proposals.shape[0]), proposals.shape[1]),
+        ))
 
     # Greedy chains, all seeds advanced together.
     inputs = seeds.copy()
@@ -369,16 +409,18 @@ def iterative_refinement(generator, scored: ScoredSet, config: LoopConfig,
             inputs = proposals[np.arange(num_seeds), picks, :]
 
     length = scored.tokens.shape[1]
-    if not tokens_out:
+    if not batches:
         empty = np.empty((0, length), dtype=np.int64)
         return CandidateSet(empty, np.empty(0), np.empty(0, np.int64),
                             np.empty(0), num_generated=generated,
                             mean_edit_fraction=0.0)
+    rows, logliks, seed_idx = (np.concatenate(parts) for parts in zip(*batches))
+    first, winner = _dedupe(rows, logliks)
     return CandidateSet(
-        tokens=np.stack(tokens_out),
-        logliks=np.array(logliks_out),
-        seed_indices=np.array(seed_idx_out, dtype=np.int64),
-        seed_values=np.array(seed_val_out),
+        tokens=rows[first].astype(np.int64),
+        logliks=logliks[winner],
+        seed_indices=seed_idx[winner],
+        seed_values=seed_values[seed_idx[winner]],
         num_generated=generated,
         mean_edit_fraction=edit_sum / generated if generated else 0.0,
     )

@@ -255,9 +255,14 @@ class StdioProposer:
         return self
 
     def close(self) -> None:
+        """Close the child's input and reap it, killing it after 10 s."""
         if self._proc.stdin is not None:
             self._proc.stdin.close()
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
     def __enter__(self) -> "StdioProposer":
         return self

@@ -14,8 +14,10 @@ comment, and the JSON mirror stores ``format`` and ``version`` fields.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -278,11 +280,12 @@ def make_run_record(
     )
 
 
-def _read_header(handle: TextIO, kind: str, version: int) -> tuple[dict[str, str], str]:
+def _read_header(handle: TextIO, kind: str,
+                 version: int) -> tuple[dict[str, str], str, int]:
     """Read a record file's version line, metadata lines and column header.
 
-    Returns (metadata, column header) and leaves ``handle`` at the first
-    data row; the column header is "" when the file has none.
+    Returns (metadata, column header, lines read) and leaves ``handle``
+    at the first data row; the column header is "" when the file has none.
     """
     first = handle.readline().rstrip("\n")
     if not first.startswith(f"# {kind} v"):
@@ -291,37 +294,67 @@ def _read_header(handle: TextIO, kind: str, version: int) -> tuple[dict[str, str
     if got != str(version):
         raise ParseError(f"unsupported {kind} version {got!r} (expected {version})")
     meta: dict[str, str] = {}
+    lines_read = 1
     for line in iter(handle.readline, ""):
+        lines_read += 1
         if line.startswith("#"):
             key, sep, value = line[1:].partition("=")
             if sep:
                 meta[key.strip()] = value.strip()
         elif line.strip():
-            return meta, line.rstrip("\n")
-    return meta, ""
+            return meta, line.rstrip("\n"), lines_read
+    return meta, "", lines_read
 
 
-def _load_rows(handle: TextIO, dtype: np.dtype, what: str) -> np.ndarray:
+def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=1)
+
+
+def _load_rows(handle: TextIO, dtype: np.dtype, what: str, lines_read: int) -> np.ndarray:
     """Parse the rest of ``handle`` as CSV rows of ``dtype`` (in C, via loadtxt).
 
     Comment and empty lines are skipped. A malformed row, an int field
-    holding a float, or no rows at all raise ParseError.
+    holding a float, or no rows at all raise ParseError; a malformed row's
+    message names its file line (``lines_read`` lines precede the body).
     """
+    start = handle.tell()
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(handle, delimiter=",", dtype=dtype, ndmin=1)
+        rows = _loadtxt(handle, dtype)
     except ValueError as exc:
-        raise ParseError(f"{what} data line: {exc}") from None
+        handle.seek(start)
+        raise _bad_line_error(handle, dtype, what, lines_read + 1, exc) from None
     if rows.size == 0:
         raise ParseError(f"{what} has no data rows")
     return rows
 
 
+def _bad_line_error(handle: TextIO, dtype: np.dtype, what: str, line_number: int,
+                    exc: ValueError) -> ParseError:
+    """Locate the first line loadtxt rejects: re-parse in chunks, then line by line.
+
+    loadtxt numbers rows from the start of its input, skipping comment and
+    empty lines, so its own row number is not a file line.
+    """
+    while chunk := list(itertools.islice(handle, 4096)):
+        try:
+            _loadtxt(chunk, dtype)
+        except ValueError:
+            for offset, line in enumerate(chunk):
+                try:
+                    _loadtxt([line], dtype)
+                except ValueError as line_exc:
+                    message = re.sub(r" at row \d+", "", str(line_exc))
+                    return ParseError(f"{what} data line {line_number + offset}: {message}")
+        line_number += len(chunk)
+    return ParseError(f"{what} data line: {exc}")
+
+
 def read_run_record(path: str | Path) -> RunRecord:
     """Parse a run-record CSV written by :func:`write_run_record`."""
     with open(path) as handle:
-        meta, header = _read_header(handle, "run-record", RUN_RECORD_VERSION)
+        meta, header, lines_read = _read_header(handle, "run-record", RUN_RECORD_VERSION)
         for key in ("run_id", "instance", "instance_seed", "solver", "config_hash",
                     "duration_seconds"):
             if key not in meta:
@@ -330,7 +363,7 @@ def read_run_record(path: str | Path) -> RunRecord:
             raise ParseError(
                 f"run record column header must be {','.join(_RUN_COLUMNS)!r}"
             )
-        rows = _load_rows(handle, _RUN_DTYPE, "run record")
+        rows = _load_rows(handle, _RUN_DTYPE, "run record", lines_read)
     return RunRecord(
         run_id=meta["run_id"],
         instance_name=meta["instance"],
@@ -453,10 +486,10 @@ class RegretCurve:
 
 def read_regret_curve(path: str | Path) -> RegretCurve:
     with open(path) as handle:
-        _, header = _read_header(handle, "regret-curve", REGRET_CURVE_VERSION)
+        _, header, lines_read = _read_header(handle, "regret-curve", REGRET_CURVE_VERSION)
         if header != "evals_used,min_regret":
             raise ParseError("regret curve column header must be 'evals_used,min_regret'")
-        rows = _load_rows(handle, _CURVE_DTYPE, "regret curve")
+        rows = _load_rows(handle, _CURVE_DTYPE, "regret curve", lines_read)
     return RegretCurve(evals=rows["evals_used"], regrets=rows["min_regret"])
 
 
@@ -526,7 +559,7 @@ class ParetoReport:
 
 def read_pareto_report(path: str | Path) -> ParetoReport:
     with open(path) as handle:
-        _, header = _read_header(handle, "pareto-report", PARETO_REPORT_VERSION)
+        _, header, _ = _read_header(handle, "pareto-report", PARETO_REPORT_VERSION)
         if header != "label,budget,min_regret":
             raise ParseError("pareto report column header must be 'label,budget,min_regret'")
         data = [line.rstrip("\n") for line in handle

@@ -99,6 +99,89 @@ def all_pairs_dataset(sequences, scores, delta_x, k_n):
     return pairs, triples
 
 
+def hamming_matrix(tokens, block=256):
+    """Pairwise Hamming distances (token counts) as an (N, N) matrix."""
+    n = tokens.shape[0]
+    out = np.empty((n, n), dtype=np.int64)
+    for start in range(0, n, block):
+        stop = min(start + block, n)
+        out[start:stop] = (
+            tokens[start:stop, None, :] != tokens[None, :, :]
+        ).sum(axis=2)
+    return out
+
+
+def format_dataset_indices(tokens, values, mode, delta_x, k_n):
+    """Per-element reference for ``llome.format_dataset``: (pairs, triples).
+
+    Builds the full (N, N) distance and key matrices, selects each
+    anchor's k_n nearest by (distance, lexicographic rank), then walks
+    every anchor's neighbor list in Python. Returns the (anchor, target)
+    and (anchor, winner, loser) row indices in emission order.
+    """
+    n, length = tokens.shape
+    pairs, triples = [], []
+    if n < 2:
+        return pairs, triples
+    distances = hamming_matrix(tokens)
+    order = np.lexsort(tokens[:, ::-1].T)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(n)
+    keys = distances * np.int64(n) + ranks[None, :]
+    np.fill_diagonal(keys, np.iinfo(np.int64).max)
+    kk = min(k_n, n - 1)
+    neighbor_ids = np.argpartition(keys, kk - 1, axis=1)[:, :kk]
+    row_keys = np.take_along_axis(keys, neighbor_ids, axis=1)
+    neighbor_ids = np.take_along_axis(neighbor_ids, np.argsort(row_keys, axis=1), axis=1)
+    max_dist = delta_x * length
+    for i in range(n):
+        improving = []
+        non_improving = []
+        for j in neighbor_ids[i]:
+            if distances[i, j] > max_dist:
+                continue
+            if values[j] > values[i]:
+                improving.append(int(j))
+            elif values[i] >= values[j]:
+                non_improving.append(int(j))
+        for j in improving:
+            pairs.append((i, j))
+            if mode == "triples":
+                for k in non_improving:
+                    triples.append((i, j, k))
+    return pairs, triples
+
+
+def dedupe_proposals(batches, seed_values):
+    """Dictionary reference for refinement deduplication.
+
+    ``batches`` are the (proposals (S, C, L), logliks (S, C)) pairs a
+    generator returned, in call order. The first occurrence of a token
+    row fixes its position; a later occurrence with a strictly higher
+    log-likelihood replaces its log-likelihood and seed. Returns
+    (tokens, logliks, seed_indices, seed_values) as lists.
+    """
+    index_of = {}
+    tokens, logliks, seed_idx, seed_val = [], [], [], []
+    for proposals, lls in batches:
+        for s in range(proposals.shape[0]):
+            for c in range(proposals.shape[1]):
+                key = tuple(int(t) for t in proposals[s, c])
+                ll = float(lls[s, c])
+                at = index_of.get(key)
+                if at is None:
+                    index_of[key] = len(tokens)
+                    tokens.append(key)
+                    logliks.append(ll)
+                    seed_idx.append(s)
+                    seed_val.append(float(seed_values[s]))
+                elif ll > logliks[at]:
+                    logliks[at] = ll
+                    seed_idx[at] = s
+                    seed_val[at] = float(seed_values[s])
+    return tokens, logliks, seed_idx, seed_val
+
+
 def central_difference_gradient(func, x, step=1e-5):
     """Central finite differences of a scalar function of a vector."""
     x = np.asarray(x, dtype=np.float64)

@@ -1,5 +1,7 @@
 """Bilevel loop: dataset formatting, refinement, filtering, and full runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ import oracles
 from ehrlich.errors import GeneratorCollapseError, InvalidParamsError
 from ehrlich.function import EhrlichParams, ScoredSequence, generate
 from ehrlich.ga import GAConfig
+from ehrlich import llome, rng as ehrlich_rng
 from ehrlich.kernels import feasible_rows
 from ehrlich.llome import (
     CandidateSet,
@@ -16,7 +19,6 @@ from ehrlich.llome import (
     adjust_temperatures,
     filter_candidates,
     format_dataset,
-    hamming_matrix,
     iterative_refinement,
     run_llome,
     run_presolver,
@@ -55,7 +57,7 @@ class TestScoredSet:
 class TestHammingMatrix:
     def test_matches_pairwise_oracle(self, rng):
         tokens = rng.integers(0, 4, size=(40, 7))
-        got = hamming_matrix(tokens, block=16)
+        got = oracles.hamming_matrix(tokens, block=16)
         for i in range(40):
             for j in range(40):
                 expected = oracles.hamming_fraction(tokens[i], tokens[j]) * 7
@@ -146,6 +148,86 @@ class TestFormatDataset:
     def test_rejects_bad_mode(self):
         with pytest.raises(InvalidParamsError):
             format_dataset(ScoredSet(TOY_TOKENS, TOY_VALUES), "pairwise", 0.25, 30)
+
+
+def random_scored(rng, n, length, vocab):
+    """Random rows from ``vocab`` with duplicate rows, tied and -inf values."""
+    tokens = rng.choice(np.asarray(vocab, dtype=np.int64), size=(n, length))
+    duplicates = rng.integers(0, n, size=n // 5)
+    tokens[duplicates] = tokens[rng.integers(0, n, size=duplicates.size)]
+    values = rng.choice([0.0, 0.25, 0.5, 1.0, 1 / 3], size=n)
+    values[rng.random(n) < 0.2] = -np.inf
+    return ScoredSet(tokens, values)
+
+
+class TestFormatDatasetMatchesReference:
+    """Blocked BLAS k-NN against the per-element n x n reference."""
+
+    VOCABS = {
+        "small": [0, 1, 2],
+        "negative": [-3, -1, 0, 2],
+        "large": [-(2 ** 40), 7, 2 ** 40, 2 ** 62],
+    }
+
+    def check(self, scored, mode, delta, k_n):
+        ds = format_dataset(scored, mode, delta, k_n)
+        pairs, triples = oracles.format_dataset_indices(
+            scored.tokens, scored.values, mode, delta, k_n)
+        pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        triples = np.array(triples, dtype=np.int64).reshape(-1, 3)
+        expected = [scored.tokens[pairs[:, 0]], scored.tokens[pairs[:, 1]],
+                    scored.tokens[triples[:, 0]], scored.tokens[triples[:, 1]],
+                    scored.tokens[triples[:, 2]]]
+        got = [ds.pair_inputs, ds.pair_targets, ds.triple_inputs,
+               ds.triple_winners, ds.triple_losers]
+        for g, e in zip(got, expected):
+            assert g.dtype == np.int64 and g.shape == e.shape
+            assert np.array_equal(g, e)
+
+    @pytest.mark.parametrize("vocab", sorted(VOCABS))
+    @pytest.mark.parametrize("mode", ["pairs", "triples"])
+    def test_random_sets(self, rng, vocab, mode):
+        for _ in range(8):
+            n = int(rng.integers(2, 90))
+            scored = random_scored(rng, n, int(rng.integers(1, 9)), self.VOCABS[vocab])
+            delta = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+            k_n = int(rng.choice([1, 3, 30, n - 1, n + 5]))
+            self.check(scored, mode, delta, k_n)
+
+    @pytest.mark.parametrize("mode", ["pairs", "triples"])
+    def test_large_set(self, rng, mode):
+        # enough rows that argpartition leaves each kept block unordered
+        scored = random_scored(rng, 600, 8, [0, 1, 2, 3])
+        self.check(scored, mode, 0.5, 30)
+
+    def test_spans_several_row_blocks(self, rng, monkeypatch):
+        monkeypatch.setattr(llome, "_BLOCK_ELEMENTS", 1000)
+        scored = random_scored(rng, 150, 6, [0, 1, 2, 3])
+        for mode in ("pairs", "triples"):
+            self.check(scored, mode, 0.5, 10)
+
+    def test_all_rows_equal(self):
+        scored = ScoredSet(np.full((6, 3), 5), np.array([0.1, 0.5, 0.5, -np.inf, 0.2, 1.0]))
+        for delta in (0.0, 1.0):
+            self.check(scored, "triples", delta, 30)
+
+
+def test_format_dataset_memory_is_bounded(rng):
+    # The n x n formulation holds three (n, n) int64 matrices: 2.4 GB here.
+    n, length = 10_000, 32
+    parents = rng.integers(0, 4, size=(100, length))
+    tokens = np.repeat(parents, n // 100, axis=0)
+    edits = rng.random(tokens.shape) < 0.05
+    tokens[edits] = rng.integers(0, 4, size=int(edits.sum()))
+    scored = ScoredSet(tokens, rng.random(n))
+    tracemalloc.start()
+    try:
+        ds = format_dataset(scored, "pairs", 0.25, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.num_pairs > 0
+    assert peak < 250 * 2 ** 20
 
 
 class TestAdjustTemperatures:
@@ -243,6 +325,89 @@ class TestIterativeRefinement:
             seed=(0, 2, 1, 0),
         )
         assert len(out) / out.num_generated > 0.9
+
+
+class _ScriptedProposer:
+    """Draws rows over a two-token alphabet, so proposals repeat within
+    and across calls.
+
+    Log-likelihoods tie (-1.0, -0.0 and 0.0) or, with ``rising``, grow
+    with the call count, so a later repeat replaces the earlier winner.
+    """
+
+    def __init__(self, rising, alphabet=(0, 1)):
+        self.rising = rising
+        self.alphabet = np.array(alphabet, dtype=np.int64)
+        self.calls = 0
+
+    def propose(self, inputs, temperature, count, seed=0):
+        gen = ehrlich_rng.substream(seed)
+        batch, length = np.atleast_2d(inputs).shape
+        proposals = self.alphabet[gen.integers(0, 2, size=(batch, count, length))]
+        logliks = np.array([-1.0, -0.0, 0.0])[gen.integers(0, 3, size=(batch, count))]
+        self.calls += 1
+        return proposals, logliks + self.calls if self.rising else logliks
+
+    def score_likelihood(self, inputs, outputs, temperature=1.0):
+        return np.zeros(np.atleast_2d(inputs).shape[0])
+
+    def train(self, dataset):
+        return self
+
+
+class _RecordingProposer:
+    """Passes proposals through and keeps a copy of every batch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches = []
+
+    def propose(self, inputs, temperature, count, seed=0):
+        proposals, logliks = self.inner.propose(inputs, temperature, count, seed=seed)
+        self.batches.append((proposals.copy(), np.array(logliks)))
+        return proposals, logliks
+
+
+class TestRefinementDedupMatchesReference:
+    @pytest.mark.parametrize("inner", [
+        _ScriptedProposer(rising=False),
+        _ScriptedProposer(rising=True),
+        _ScriptedProposer(rising=True, alphabet=(-1, 2 ** 40)),
+        _ScriptedProposer(rising=False, alphabet=(300, -(2 ** 20))),
+        baseline_mutation_proposer(0.2, 3, 4),
+    ], ids=["tied-logliks", "rising-logliks", "wide-tokens", "wide-tokens-tied",
+            "mutation"])
+    def test_matches_dictionary_dedup(self, rng, inner):
+        tokens = rng.integers(0, 3, size=(24, 4))
+        values = rng.permutation(24) / 24  # distinct, so a seed value names its seed
+        scored = ScoredSet(tokens, values)
+        proposer = _RecordingProposer(inner)
+        out = iterative_refinement(proposer, scored, SMALL, seed=5)
+        order = np.argsort(-values, kind="stable")[: SMALL.seeds_per_round]
+        want_tokens, want_logliks, want_seeds, want_values = oracles.dedupe_proposals(
+            proposer.batches, values[order])
+        assert len(out) < out.num_generated  # repeats were merged
+        assert out.tokens.dtype == np.int64
+        assert as_tuples(out.tokens) == want_tokens
+        # bytes, so -0.0 and 0.0 winners are told apart
+        assert out.logliks.tobytes() == np.array(want_logliks).tobytes()
+        assert out.seed_indices.dtype == np.int64
+        assert out.seed_indices.tolist() == want_seeds
+        assert out.seed_values.tobytes() == np.array(want_values).tobytes()
+
+    def test_later_higher_loglik_moves_the_seed(self, rng):
+        # the rising script must exercise replacement, or the test above
+        # only checks first occurrences
+        scored = ScoredSet(rng.integers(0, 2, size=(24, 4)), rng.permutation(24) / 24)
+        proposer = _RecordingProposer(_ScriptedProposer(rising=True))
+        out = iterative_refinement(proposer, scored, SMALL, seed=5)
+        first_seed = {}
+        for proposals, _ in proposer.batches:
+            for s in range(proposals.shape[0]):
+                for c in range(proposals.shape[1]):
+                    first_seed.setdefault(tuple(map(int, proposals[s, c])), s)
+        firsts = [first_seed[row] for row in as_tuples(out.tokens)]
+        assert firsts != out.seed_indices.tolist()
 
 
 def make_candidates(tokens, logliks):

@@ -1,5 +1,6 @@
 """Proposal generators: exact likelihoods, training, and the text protocol."""
 
+import subprocess
 import sys
 import textwrap
 
@@ -264,3 +265,22 @@ class TestStdioProposer:
                 np.zeros(2),
             )
             assert prop.train(None) is prop
+
+    def test_close_kills_a_child_that_outlives_the_wait(self, tmp_path, monkeypatch):
+        script = tmp_path / "stubborn.py"
+        script.write_text("import time\ntime.sleep(60)\n")
+        prop = StdioProposer([sys.executable, str(script)], 4, 5)
+        proc = prop._proc
+        real_wait = proc.wait
+        timeouts = []
+
+        def wait_times_out_once(timeout=None):
+            if not timeouts:
+                timeouts.append(timeout)
+                raise subprocess.TimeoutExpired(proc.args, timeout)
+            return real_wait(timeout)
+
+        monkeypatch.setattr(proc, "wait", wait_times_out_once)
+        prop.close()
+        assert timeouts == [10]
+        assert proc.returncode is not None and proc.returncode < 0  # killed, reaped

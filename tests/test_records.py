@@ -339,6 +339,25 @@ class TestReadRunRecord:
         with pytest.raises(ParseError, match="data line"):
             read_run_record(bad)
 
+    @pytest.mark.parametrize("edited", ["6,1,0.5,1", "6,1,half,1,1"],
+                             ids=["short-row", "non-numeric-value"])
+    def test_error_names_the_file_line(self, tmp_path, edited):
+        # loadtxt counts rows after the column header, 1-based for a wrong
+        # field count and 0-based for a bad value, skipping comment and
+        # empty lines; the message must name the line of the file.
+        lines = write_run_record(mixed_record(), tmp_path).read_text().splitlines()
+        at = lines.index("6,1,0.5,1,1")
+        assert at + 1 == 14
+        lines[at] = edited
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"data line 14: "):
+            read_run_record(bad)
+        lines[10:10] = ["# a comment in the body", ""]
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=r"data line 16: "):
+            read_run_record(bad)
+
     def test_rejects_header_without_rows(self, tmp_path):
         lines = write_run_record(mixed_record(), tmp_path).read_text().splitlines()
         bad = tmp_path / "bad.csv"
