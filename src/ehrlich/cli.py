@@ -253,11 +253,12 @@ def _execute_ga_run(function, args, seed: int, budget: int, out_dir: Path,
         instance_seed=function.params.seed,
         solver="ga",
         config=dict(dataclasses.asdict(config), budget=budget),
-        tokens=ledger.tokens(),
         values=ledger.values(),
         rounds=ledger.call_rounds(),
         duration_seconds=duration,
+        unique=ledger.unique(),
     )
+    del ledger  # its rows and seen-row set are not needed to write the record
     csv_path = write_run_record(record, out_dir)
     curve = RegretCurve.from_record(record)
     csv_path.with_suffix(".curve.csv").write_text(curve.to_csv())

@@ -13,10 +13,12 @@ comment, and the JSON mirror stores ``format`` and ``version`` fields.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import itertools
 import json
 import math
+import os
 import re
 import warnings
 from dataclasses import dataclass
@@ -52,10 +54,20 @@ def unique_flags(tokens: np.ndarray) -> np.ndarray:
     """True at each row's first occurrence within the array."""
     tokens = np.asarray(tokens)
     require(tokens.ndim == 2, f"tokens must be 2-D, got shape {tokens.shape}")
-    flags = np.zeros(tokens.shape[0], dtype=bool)
-    seen: set[bytes] = set()
-    for i, row in enumerate(tokens):
-        key = row.tobytes()
+    return _first_occurrences(tokens, set())
+
+
+def _first_occurrences(rows: np.ndarray, seen: set[bytes]) -> np.ndarray:
+    """True where a row's bytes are not yet in ``seen``; adds every row's bytes.
+
+    The one uniqueness rule: rows are equal when their bytes are, so one
+    ``seen`` set must only ever see rows of one dtype.
+    """
+    width = rows.shape[1] * rows.itemsize
+    keys = (np.ascontiguousarray(rows).view(f"V{width}").ravel().tolist() if width
+            else [b""] * rows.shape[0])
+    flags = np.zeros(len(keys), dtype=bool)
+    for i, key in enumerate(keys):
         if key not in seen:
             seen.add(key)
             flags[i] = True
@@ -69,12 +81,19 @@ class EvalLedger:
     (``params``, ``transition``, ``initial_solution``,
     ``evaluate_batch``), so it can stand in for the function itself.
     A batch the wrapped function rejects is not recorded.
+
+    Rows are kept in the narrowest unsigned dtype that holds every token
+    (uint8 when v <= 256, else uint16), and each batch's first-occurrence
+    flags are computed as it arrives, against the rows recorded before it.
     """
 
     def __init__(self, function):
         self._function = function
+        self._dtype = np.min_scalar_type(function.params.vocab_size - 1)
         self._tokens: list[np.ndarray] = []
         self._values: list[np.ndarray] = []
+        self._unique: list[np.ndarray] = []
+        self._seen: set[bytes] = set()
 
     @property
     def params(self):
@@ -89,7 +108,10 @@ class EvalLedger:
 
     def evaluate_batch(self, tokens: np.ndarray) -> np.ndarray:
         values = self._function.evaluate_batch(tokens)
-        self._tokens.append(np.array(tokens, dtype=np.int64))
+        # the function has range-checked every token, so the narrow copy is exact
+        rows = np.asarray(tokens, dtype=np.int64).astype(self._dtype)
+        self._unique.append(_first_occurrences(rows, self._seen))
+        self._tokens.append(rows)
         self._values.append(np.array(values, dtype=np.float64))
         return values
 
@@ -102,14 +124,21 @@ class EvalLedger:
         return len(self._values)
 
     def tokens(self) -> np.ndarray:
+        """Every recorded row, in call order, as int64."""
         if not self._tokens:
             return np.zeros((0, self._function.params.length), dtype=np.int64)
-        return np.concatenate(self._tokens, axis=0)
+        return np.concatenate(self._tokens, axis=0, dtype=np.int64)
 
     def values(self) -> np.ndarray:
         if not self._values:
             return np.zeros(0, dtype=np.float64)
         return np.concatenate(self._values)
+
+    def unique(self) -> np.ndarray:
+        """First-occurrence flags of the recorded rows: ``unique_flags(self.tokens())``."""
+        if not self._unique:
+            return np.zeros(0, dtype=bool)
+        return np.concatenate(self._unique)
 
     def call_rounds(self) -> np.ndarray:
         """Round label per evaluation: the 0-based index of its batch."""
@@ -198,7 +227,7 @@ class RunRecord:
         return float("inf") if best == float("-inf") else 1.0 - best
 
     def to_csv(self) -> str:
-        lines = [
+        head = [
             f"# run-record v{RUN_RECORD_VERSION}",
             f"# run_id={self.run_id}",
             f"# instance={self.instance_name}",
@@ -208,8 +237,10 @@ class RunRecord:
             f"# duration_seconds={self.duration_seconds!r}",
             ",".join(_RUN_COLUMNS),
         ]
-        rows = map(",".join, zip(*(_texts(c, repr) for c in self._columns())))
-        return "\n".join(lines) + "\n" + "\n".join(rows) + "\n"
+        parts = ["\n".join(head), "\n"]
+        for texts in zip(*(_text_blocks(c, repr) for c in self._columns())):
+            parts += ["\n".join(map(",".join, zip(*texts))), "\n"]
+        return "".join(parts)
 
     def to_json(self) -> str:
         """The JSON mirror, laid out exactly as ``json.dumps(payload, indent=2)``."""
@@ -223,22 +254,42 @@ class RunRecord:
             "config_hash": self.config_hash,
             "duration_seconds": self.duration_seconds,
         }, indent=2)
-        evals = ",\n".join(
-            f'    "{name}": [\n      ' + ",\n      ".join(_texts(column, _json_number)) + "\n    ]"
-            for name, column in zip(_RUN_COLUMNS, self._columns())
-        )
         # head ends with "\n}"; the evals object goes in as its last member
-        return head[:-2] + ',\n  "evals": {\n' + evals + "\n  }\n}\n"
+        parts = [head[:-2], ',\n  "evals": {\n']
+        separator = ",\n      "
+        for name, column in zip(_RUN_COLUMNS, self._columns()):
+            parts.append(f'    "{name}": [\n      ')
+            for texts in _text_blocks(column, _json_number):
+                parts += [separator.join(texts), separator]
+            # a column's trailing separator becomes its closing bracket
+            parts[-1] = "\n    ],\n"
+        parts[-1] = "\n    ]\n  }\n}\n"
+        return "".join(parts)
 
     def _columns(self) -> tuple[np.ndarray, ...]:
-        """The rows' fields as 64-bit arrays, in ``_RUN_COLUMNS`` order."""
-        return (self.eval_index, self.rounds, self.values,
-                self.feasible.astype(np.int64), self.unique.astype(np.int64))
+        """The rows' fields in ``_RUN_COLUMNS`` order."""
+        return (self.eval_index, self.rounds, self.values, self.feasible, self.unique)
 
 
 def _json_number(x: int | float) -> str:
     """``json.dumps(x)`` for a number, without its per-call overhead."""
     return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+# Rows per text block: small enough that a block's per-row strings stay well
+# below the text of a record of a few hundred thousand rows.
+_BLOCK_ROWS = 1 << 14
+
+
+def _text_blocks(column: np.ndarray, fmt):
+    """``_texts`` of ``column`` in blocks of ``_BLOCK_ROWS`` elements, bools as 0/1.
+
+    The writers join each block's texts as it comes, so no list of one
+    text per row of the whole record is ever built.
+    """
+    for start in range(0, column.shape[0], _BLOCK_ROWS):
+        block = column[start:start + _BLOCK_ROWS]
+        yield _texts(block.astype(np.int64) if block.dtype == bool else block, fmt)
 
 
 def _texts(column: np.ndarray, fmt) -> list[str]:
@@ -258,12 +309,21 @@ def make_run_record(
     instance_seed: int,
     solver: str,
     config: Mapping,
-    tokens: np.ndarray,
+    *,
     values: np.ndarray,
     rounds: np.ndarray,
     duration_seconds: float,
+    tokens: np.ndarray | None = None,
+    unique: np.ndarray | None = None,
 ) -> RunRecord:
-    """Assemble a record from raw batches, deriving flags and the hash."""
+    """Assemble a record from raw batches, deriving flags and the hash.
+
+    Give exactly one of ``tokens``, the scored rows from which the unique
+    flags are derived, and ``unique``, the flags themselves (as
+    :meth:`EvalLedger.unique` streams them).
+    """
+    require((tokens is None) != (unique is None),
+            "give exactly one of tokens= and unique=")
     values = np.asarray(values, dtype=np.float64)
     return RunRecord(
         run_id=run_id,
@@ -275,7 +335,7 @@ def make_run_record(
         rounds=rounds,
         values=values,
         feasible=~np.isneginf(values),
-        unique=unique_flags(tokens),
+        unique=unique_flags(tokens) if unique is None else unique,
         duration_seconds=float(duration_seconds),
     )
 
@@ -406,13 +466,18 @@ def read_run_record_json(path: str | Path) -> RunRecord:
 def write_run_record(record: RunRecord, directory: str | Path) -> Path:
     """Write ``<run_id>.csv`` and ``<run_id>.json`` into ``directory``.
 
-    Records are append-only: writing a run_id that already exists in the
-    directory raises FileExistsError instead of overwriting history.
+    Records are append-only: writing a run_id whose CSV or JSON file
+    already exists in the directory raises FileExistsError, before either
+    file is written, instead of overwriting history.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     csv_path = directory / f"{record.run_id}.csv"
     json_path = directory / f"{record.run_id}.json"
+    # refuse before writing either file, so a refusal never leaves half a record
+    for path in (csv_path, json_path):
+        if path.exists():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
     with open(csv_path, "x") as handle:
         handle.write(record.to_csv())
     with open(json_path, "x") as handle:
@@ -558,21 +623,22 @@ class ParetoReport:
 
 
 def read_pareto_report(path: str | Path) -> ParetoReport:
+    points = []
     with open(path) as handle:
-        _, header, _ = _read_header(handle, "pareto-report", PARETO_REPORT_VERSION)
+        _, header, lines_read = _read_header(handle, "pareto-report", PARETO_REPORT_VERSION)
         if header != "label,budget,min_regret":
             raise ParseError("pareto report column header must be 'label,budget,min_regret'")
-        data = [line.rstrip("\n") for line in handle
-                if line.strip() and not line.startswith("#")]
-    points = []
-    for line_no, line in enumerate(data, start=2):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"data line {line_no}: expected 3 fields, got {len(parts)}")
-        try:
-            points.append(ParetoPoint(parts[0], float(parts[1]), float(parts[2])))
-        except ValueError as exc:
-            raise ParseError(f"data line {line_no}: {exc}") from None
+        for line_number, line in enumerate(handle, start=lines_read + 1):
+            if not line.strip() or line.startswith("#"):
+                continue
+            where = f"pareto report data line {line_number}"
+            parts = line.rstrip("\n").split(",")
+            if len(parts) != 3:
+                raise ParseError(f"{where}: expected 3 fields, got {len(parts)}")
+            try:
+                points.append(ParetoPoint(parts[0], float(parts[1]), float(parts[2])))
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from None
     if not points:
         raise ParseError("pareto report has no points")
     return ParetoReport(points=tuple(points))

@@ -1,11 +1,14 @@
 """Run records, regret curves, Pareto reports, and round summaries."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ehrlich import (
+    EhrlichParams,
     EvalLedger,
     GAConfig,
     InvalidParamsError,
@@ -16,6 +19,7 @@ from ehrlich import (
     RoundSummary,
     RunRecord,
     config_hash,
+    generate,
     make_run_record,
     read_pareto_report,
     read_regret_curve,
@@ -186,6 +190,111 @@ class TestEvalLedger:
         assert ledger.call_rounds().shape == (0,)
 
 
+    def test_streamed_unique_matches_reference(self, inst_4_8, rng):
+        # rows drawn from a small pool repeat within and across batches
+        pool = rng.integers(0, inst_4_8.params.vocab_size, size=(12, inst_4_8.params.length))
+        ledger = EvalLedger(inst_4_8)
+        for size in rng.integers(1, 30, size=20):
+            ledger.evaluate_batch(pool[rng.integers(0, len(pool), size=size)])
+        flags = ledger.unique()
+        assert flags.dtype == bool
+        assert np.array_equal(flags, unique_flags(ledger.tokens()))
+        assert flags.sum() == len(np.unique(ledger.tokens(), axis=0)) < ledger.num_evals
+
+    @pytest.mark.parametrize("vocab", [256, 1024], ids=["uint8-edge", "uint16"])
+    def test_tokens_are_the_scored_int64_rows(self, vocab, rng):
+        function = generate(EhrlichParams.from_name(f"Ehr({vocab},8)-2-2-2", seed=0))
+        batches = [rng.integers(0, vocab, size=(n, 8)) for n in (1, 5, 3)]
+        batches[1][0] = vocab - 1
+        batches[2][1, 3] = vocab - 1
+        ledger = EvalLedger(function)
+        for batch in batches:
+            ledger.evaluate_batch(batch)
+        tokens = ledger.tokens()
+        assert tokens.dtype == np.int64
+        assert np.array_equal(tokens, np.concatenate(batches))
+        assert np.array_equal(ledger.unique(), unique_flags(tokens))
+
+    @pytest.mark.parametrize("bad", [-1, 4], ids=["negative", "vocab-size"])
+    def test_rejected_batch_leaves_no_trace(self, inst_4_8, bad):
+        rows = np.array([[0, 1, 2, 3, 0, 1, 2, 3], [3, 3, 3, 3, 3, 3, 3, 3]])
+        ledger = EvalLedger(inst_4_8)
+        with pytest.raises(InvalidParamsError):
+            ledger.evaluate_batch(np.vstack([rows, np.full((1, 8), bad)]))
+        ledger.evaluate_batch(rows)
+        assert ledger.num_calls == 1
+        assert ledger.unique().tolist() == [True, True]
+        assert np.array_equal(ledger.tokens(), rows)
+
+    def test_empty_ledger_has_no_flags(self, inst_4_8):
+        unique = EvalLedger(inst_4_8).unique()
+        assert unique.shape == (0,) and unique.dtype == bool
+
+
+class TestMakeRunRecord:
+    def test_unique_flags_give_the_same_record(self, inst_4_8):
+        ledger = EvalLedger(inst_4_8)
+        run_ga(ledger, GAConfig(num_particles=20, seed=2), budget=200)
+        common = dict(run_id="r", instance_name="n", instance_seed=0, solver="ga",
+                      config={}, values=ledger.values(), rounds=ledger.call_rounds(),
+                      duration_seconds=0.0)
+        from_tokens = make_run_record(**common, tokens=ledger.tokens())
+        from_flags = make_run_record(**common, unique=ledger.unique())
+        assert not from_tokens.unique.all()
+        assert from_flags.to_csv() == from_tokens.to_csv()
+
+    @pytest.mark.parametrize("given", ["neither", "both"])
+    def test_takes_exactly_one_of_tokens_and_unique(self, given):
+        flags = {} if given == "neither" else dict(
+            tokens=np.zeros((1, 4), dtype=np.int64), unique=np.ones(1, dtype=bool))
+        with pytest.raises(InvalidParamsError, match="exactly one"):
+            make_run_record("r", "n", 0, "ga", {}, values=[0.5], rounds=[0],
+                            duration_seconds=0.0, **flags)
+
+
+class TestBoundedMemory:
+    """tracemalloc bounds on the record path (figures in the comments are
+    what the streaming ledger and block-built writers measured)."""
+
+    def test_ledger_keeps_narrow_rows(self, inst_32_32):
+        # 200,001 evaluations at L = 32 are 51 MB as int64 rows; the ledger
+        # keeps them as uint8 plus one flag per row and the distinct rows'
+        # keys (12.2 MB measured)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ledger = EvalLedger(inst_32_32)
+            run_ga(ledger, GAConfig(seed=0), budget=200_001, stop_on_optimum=False)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ledger.num_evals == 200_001
+        assert retained <= 20 * 2**20
+
+    @pytest.mark.parametrize("writer, bound", [("to_csv", 4.0), ("to_json", 2.5)])
+    def test_writer_peak_is_a_small_multiple_of_its_text(self, writer, bound, rng):
+        # the text itself plus the blocks it is joined from: about 2.1x
+        # (CSV) and 2.0x (JSON) measured on this record
+        n = 300_000
+        values = rng.choice([-np.inf, 0.0, 0.25, 0.5, 0.5625, 0.75, 1.0], n)
+        record = RunRecord(
+            run_id="big", instance_name="Ehr(32,32)-4-4-4", instance_seed=7, solver="ga",
+            config_hash="0" * 12, eval_index=np.arange(1, n + 1),
+            rounds=np.arange(n) // 1000, values=values, feasible=~np.isneginf(values),
+            unique=rng.random(n) < 0.2, duration_seconds=1.5,
+        )
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            text = getattr(record, writer)()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(text)
+
+
 class TestRunRecordValidation:
     def test_build_derives_flags(self):
         record = small_record([0.5, -np.inf, 0.75])
@@ -275,6 +384,15 @@ class TestRunRecordPersistence:
         write_run_record(record, tmp_path)
         with pytest.raises(FileExistsError):
             write_run_record(record, tmp_path)
+
+    @pytest.mark.parametrize("existing", ["csv", "json"])
+    def test_refusal_writes_nothing(self, tmp_path, existing):
+        record = small_record([0.5])
+        (tmp_path / f"test-run.{existing}").write_text("kept\n")
+        with pytest.raises(FileExistsError):
+            write_run_record(record, tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == [f"test-run.{existing}"]
+        assert (tmp_path / f"test-run.{existing}").read_text() == "kept\n"
 
     def test_read_rejects_wrong_version(self, tmp_path):
         path = write_run_record(small_record([0.5]), tmp_path)
@@ -479,6 +597,21 @@ class TestParetoReport:
         with pytest.raises(InvalidParamsError, match="min_regret"):
             ParetoPoint("a", 1.0, -0.5)
 
+    @pytest.mark.parametrize("row, message", [
+        ("b,2.0", "expected 3 fields, got 2"),
+        ("b,2.0,half", "could not convert"),
+    ], ids=["short-row", "non-numeric-field"])
+    def test_error_names_the_file_line(self, tmp_path, row, message):
+        lines = ["# pareto-report v1", "label,budget,min_regret", "a,1.0,0.5", row]
+        path = tmp_path / "pareto.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"pareto report data line 4: {message}"):
+            read_pareto_report(path)
+        lines[2:2] = ["# a comment in the body", ""]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"pareto report data line 6: {message}"):
+            read_pareto_report(path)
+
     def test_csv_round_trip(self, tmp_path):
         report = ParetoReport.from_arrays(["q=1", "q=2"], [100.0, 100.0], [1.0, 0.25])
         path = tmp_path / "pareto.csv"
@@ -526,8 +659,8 @@ class TestRoundSummaries:
         run_ga(ledger, GAConfig(num_particles=25, seed=4), budget=125)
         record = make_run_record(
             "ga-recompute", inst_4_8.params.name, inst_4_8.params.seed, "ga",
-            {"budget": 125}, ledger.tokens(), ledger.values(),
-            ledger.call_rounds(), 0.01,
+            {"budget": 125}, tokens=ledger.tokens(), values=ledger.values(),
+            rounds=ledger.call_rounds(), duration_seconds=0.01,
         )
         path = write_run_record(record, tmp_path)
         assert round_summaries(read_run_record(path)) == round_summaries(record)
