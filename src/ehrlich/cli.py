@@ -45,11 +45,13 @@ from .records import (
     EvalLedger,
     ParetoReport,
     RegretCurve,
+    RoundSummary,
     make_run_record,
     read_run_record,
     round_summaries,
     write_run_record,
 )
+from .tables import format_table, is_table
 
 ENV_OUT_DIR = "EHRLICH_OUT_DIR"
 
@@ -408,21 +410,17 @@ def cmd_sweep(args) -> int:
         medians[value] = np.median(at_marks, axis=0)
 
     header = ["evals_used"] + [f"{args.axis}={value}" for value in values]
-    table_lines = [
-        "# sweep-table v1",
-        f"# axis={args.axis}",
-        f"# base={base.name}",
-        f"# instance_seed={base.seed}",
-        f"# budget={args.budget}",
-        f"# seeds={','.join(str(s) for s in seeds)}",
-        ",".join(header),
-    ]
-    for row, mark in enumerate(marks):
-        cells = [str(mark)] + [repr(float(medians[value][row])) for value in values]
-        table_lines.append(",".join(cells))
+    columns = dict(zip(header, [marks, *(medians[value] for value in values)]))
+    table = format_table("sweep-table", 1, columns, meta={
+        "axis": args.axis,
+        "base": base.name,
+        "instance_seed": base.seed,
+        "budget": args.budget,
+        "seeds": ",".join(str(s) for s in seeds),
+    })
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / f"sweep-{args.axis}-table.csv"
-    table_path.write_text("\n".join(table_lines) + "\n")
+    table_path.write_text(table)
 
     report = ParetoReport.from_arrays(
         labels=[f"{args.axis}={value}" for value in values for _ in marks],
@@ -452,10 +450,8 @@ def cmd_report(args) -> int:
     if args.records_dir:
         # The output directory also holds curve/sweep CSVs; take only
         # files that identify themselves as run records.
-        for found in sorted(Path(args.records_dir).glob("*.csv")):
-            with open(found) as handle:
-                if handle.readline().startswith("# run-record v"):
-                    paths.append(found)
+        paths += [found for found in sorted(Path(args.records_dir).glob("*.csv"))
+                  if is_table(found, "run-record")]
     if not paths:
         raise InvalidParamsError("provide record files or --records-dir")
     rows = []
@@ -478,18 +474,11 @@ def cmd_report(args) -> int:
                   f"{s.max_margin_reward:>10.4g} {s.min_regret:>10.4g}")
             rows.append((record.run_id, s))
     if args.out:
-        lines = [
-            "# round-report v1",
-            "run_id,round,num_evals,unique_pct,feasible_pct,"
-            "mean_margin_reward,max_margin_reward,min_regret",
-        ]
-        for run_id, s in rows:
-            lines.append(
-                f"{run_id},{s.round_index},{s.num_evals},{s.unique_pct!r},"
-                f"{s.feasible_pct!r},{s.mean_margin_reward!r},"
-                f"{s.max_margin_reward!r},{s.min_regret!r}"
-            )
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        columns = {"run_id": [run_id for run_id, _ in rows]}
+        for field in dataclasses.fields(RoundSummary):
+            name = "round" if field.name == "round_index" else field.name
+            columns[name] = [getattr(s, field.name) for _, s in rows]
+        Path(args.out).write_text(format_table("round-report", 1, columns))
         payload = {
             "format": "round-report",
             "version": 1,
@@ -527,9 +516,10 @@ def cmd_bench(args) -> int:
         if slow[1] > 0:
             print(f"  {fast[0]} is {fast[1] / slow[1]:.1f}x faster than {slow[0]}")
     if args.out:
-        lines = ["# bench v1", "backend,seqs_per_sec"]
-        lines += [f"{backend},{rate!r}" for backend, rate in results]
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        Path(args.out).write_text(format_table("bench", 1, {
+            "backend": [backend for backend, _ in results],
+            "seqs_per_sec": [rate for _, rate in results],
+        }))
     return EXIT_OK
 
 

@@ -24,6 +24,8 @@ import os
 
 import numpy as np
 
+from .errors import InvalidParamsError
+
 ENV_BACKEND = "EHRLICH_BACKEND"
 
 try:
@@ -101,7 +103,7 @@ def score_batch_numpy(tokens, mask, motifs, offsets, divisor, q, a):
 def score_batch_numba(tokens, mask, motifs, offsets, divisor, q, a):
     """Numba batch scorer; compiled on first call, cached on disk."""
     if not HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
+        raise InvalidParamsError("numba backend requested but numba is not importable")
     return _score_batch_numba(tokens, mask, motifs, offsets, divisor, q, a)
 
 
@@ -116,16 +118,17 @@ def available_backends() -> tuple[str, ...]:
 
 
 def active_backend() -> str:
-    """Resolve the backend from ``EHRLICH_BACKEND`` (default: numba if present)."""
+    """Resolve the backend from ``EHRLICH_BACKEND`` (default: numba if present);
+    an unknown name, or numba when it is not importable, is ``InvalidParamsError``."""
     choice = os.environ.get(ENV_BACKEND, "").strip().lower()
     if choice == "":
         return "numba" if HAVE_NUMBA else "numpy"
     if choice not in _BACKENDS:
-        raise ValueError(
+        raise InvalidParamsError(
             f"{ENV_BACKEND} must be 'numba' or 'numpy', got {choice!r}"
         )
     if choice == "numba" and not HAVE_NUMBA:
-        raise ValueError(f"{ENV_BACKEND}=numba but numba is not importable")
+        raise InvalidParamsError(f"{ENV_BACKEND}=numba but numba is not importable")
     return choice
 
 
@@ -133,5 +136,5 @@ def score_batch(tokens, mask, motifs, offsets, divisor, q, a, backend=None):
     """Score a (N, L) token batch, dispatching to the active backend."""
     name = backend if backend is not None else active_backend()
     if name not in _BACKENDS:
-        raise ValueError(f"backend must be 'numba' or 'numpy', got {name!r}")
+        raise InvalidParamsError(f"backend must be 'numba' or 'numpy', got {name!r}")
     return _BACKENDS[name](tokens, mask, motifs, offsets, divisor, q, a)

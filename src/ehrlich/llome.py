@@ -383,27 +383,18 @@ def iterative_refinement(generator, scored: ScoredSet, config: LoopConfig,
             np.repeat(np.arange(proposals.shape[0]), proposals.shape[1]),
         ))
 
-    # Greedy chains, all seeds advanced together.
-    inputs = seeds.copy()
-    for step in range(config.refine_iters):
-        proposals, logliks = generator.propose(
-            inputs, 0.0, 1, seed=rng.seed_path(seed, 0, step)
-        )
-        if proposals.shape[1] == 0:
-            break  # generator returned nothing; chain cannot advance
-        absorb(proposals, logliks, inputs)
-        inputs = proposals[:, 0, :]
-
-    # Sampled chains, one per temperature.
-    for t_index, temperature in enumerate(temperatures):
+    # Chain 0 is greedy (temperature 0, one proposal per step); chain
+    # 1 + i samples at temperatures[i]. All seeds advance together, each
+    # from its highest-likelihood proposal of the previous step.
+    chains = [(0.0, 1)] + [(float(t), config.samples_per_iter) for t in temperatures]
+    for chain, (temperature, count) in enumerate(chains):
         inputs = seeds.copy()
         for step in range(config.refine_iters):
             proposals, logliks = generator.propose(
-                inputs, float(temperature), config.samples_per_iter,
-                seed=rng.seed_path(seed, 1 + t_index, step),
+                inputs, temperature, count, seed=rng.seed_path(seed, chain, step)
             )
             if proposals.shape[1] == 0:
-                break
+                break  # generator returned nothing; chain cannot advance
             absorb(proposals, logliks, inputs)
             picks = np.argmax(logliks, axis=1)
             inputs = proposals[np.arange(num_seeds), picks, :]

@@ -9,13 +9,14 @@ finite differences. Infeasible objective values (-inf) are remapped to
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, ParseError, require
+from .errors import ConvergenceError, require
+from .tables import format_table, read_table
 
 LOSS_BATCH_VERSION = 1
 
@@ -159,49 +160,23 @@ class LossBatch:
         return raw / raw.sum()
 
 
-_LOSS_BATCH_FIELDS = ("x_id", "y_id", "log_pi_theta", "log_pi_ref", "reward", "length")
+_LOSS_BATCH_DTYPE = np.dtype([
+    ("x_id", np.int64), ("y_id", np.int64), ("log_pi_theta", np.float64),
+    ("log_pi_ref", np.float64), ("reward", np.float64), ("length", np.int64),
+])
 
 
 def write_loss_batch(batch: LossBatch, path) -> None:
-    with open(path, "w", newline="") as handle:
-        handle.write(f"# loss-batch v{LOSS_BATCH_VERSION}\n")
-        writer = csv.writer(handle)
-        writer.writerow(_LOSS_BATCH_FIELDS)
-        for i in range(len(batch)):
-            writer.writerow([
-                int(batch.x_ids[i]), int(batch.y_ids[i]),
-                repr(float(batch.log_pi_theta[i])), repr(float(batch.log_pi_ref[i])),
-                repr(float(batch.rewards[i])), int(batch.lengths[i]),
-            ])
+    columns = (batch.x_ids, batch.y_ids, batch.log_pi_theta, batch.log_pi_ref,
+               batch.rewards, batch.lengths)
+    Path(path).write_text(format_table("loss-batch", LOSS_BATCH_VERSION,
+                                       dict(zip(_LOSS_BATCH_DTYPE.names, columns))))
 
 
 def read_loss_batch(path) -> LossBatch:
-    with open(path, newline="") as handle:
-        first = handle.readline()
-        if not first.startswith("# loss-batch v"):
-            raise ParseError(f"{path}: missing loss-batch version header")
-        version = first.removeprefix("# loss-batch v").strip()
-        if version != str(LOSS_BATCH_VERSION):
-            raise ParseError(f"{path}: unsupported loss-batch version {version!r}")
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != _LOSS_BATCH_FIELDS:
-            raise ParseError(f"{path}: bad column header {header!r}")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ParseError(f"{path}: empty batch")
-    try:
-        columns = list(zip(*rows, strict=True))
-        return LossBatch(
-            x_ids=np.array([int(v) for v in columns[0]]),
-            y_ids=np.array([int(v) for v in columns[1]]),
-            log_pi_theta=np.array([float(v) for v in columns[2]]),
-            log_pi_ref=np.array([float(v) for v in columns[3]]),
-            rewards=np.array([float(v) for v in columns[4]]),
-            lengths=np.array([int(v) for v in columns[5]]),
-        )
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"{path}: malformed loss-batch row ({exc})") from exc
+    _, rows = read_table(path, "loss-batch", LOSS_BATCH_VERSION, _LOSS_BATCH_DTYPE,
+                         "loss batch")
+    return LossBatch(*(rows[name] for name in _LOSS_BATCH_DTYPE.names))
 
 
 def batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths=None,

@@ -6,29 +6,28 @@ a report prints — regret curves, uniqueness and feasibility rates,
 margin-reward summaries, hypervolumes — is recomputed from those rows,
 so a record file is the single source of truth for a run.
 
-Both file formats carry an explicit version line so old records stay
-readable after schema changes: CSV files start with a ``# <kind> v<N>``
-comment, and the JSON mirror stores ``format`` and ``version`` fields.
+Both file formats carry an explicit version so old records stay readable
+after schema changes: every CSV is a :mod:`ehrlich.tables` table, which
+starts with a ``# <kind> v<N>`` line, and the JSON mirror stores
+``format`` and ``version`` fields.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
-import itertools
 import json
 import math
 import os
-import re
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ParseError, require
 from .losses import margin_reward
+from .tables import _text_blocks, format_table, read_table
 
 RUN_RECORD_VERSION = 1
 REGRET_CURVE_VERSION = 1
@@ -38,6 +37,8 @@ _RUN_COLUMNS = ("eval_index", "round", "value", "feasible", "unique")
 _RUN_DTYPE = np.dtype([(name, np.float64 if name == "value" else np.int64)
                        for name in _RUN_COLUMNS])
 _CURVE_DTYPE = np.dtype([("evals_used", np.int64), ("min_regret", np.float64)])
+_PARETO_DTYPE = np.dtype([("label", object), ("budget", np.float64),
+                          ("min_regret", np.float64)])
 
 
 def config_hash(config: Mapping) -> str:
@@ -227,20 +228,16 @@ class RunRecord:
         return float("inf") if best == float("-inf") else 1.0 - best
 
     def to_csv(self) -> str:
-        head = [
-            f"# run-record v{RUN_RECORD_VERSION}",
-            f"# run_id={self.run_id}",
-            f"# instance={self.instance_name}",
-            f"# instance_seed={self.instance_seed}",
-            f"# solver={self.solver}",
-            f"# config_hash={self.config_hash}",
-            f"# duration_seconds={self.duration_seconds!r}",
-            ",".join(_RUN_COLUMNS),
-        ]
-        parts = ["\n".join(head), "\n"]
-        for texts in zip(*(_text_blocks(c, repr) for c in self._columns())):
-            parts += ["\n".join(map(",".join, zip(*texts))), "\n"]
-        return "".join(parts)
+        meta = {
+            "run_id": self.run_id,
+            "instance": self.instance_name,
+            "instance_seed": self.instance_seed,
+            "solver": self.solver,
+            "config_hash": self.config_hash,
+            "duration_seconds": self.duration_seconds,
+        }
+        columns = dict(zip(_RUN_COLUMNS, self._columns()))
+        return format_table("run-record", RUN_RECORD_VERSION, columns, meta)
 
     def to_json(self) -> str:
         """The JSON mirror, laid out exactly as ``json.dumps(payload, indent=2)``."""
@@ -274,33 +271,6 @@ class RunRecord:
 def _json_number(x: int | float) -> str:
     """``json.dumps(x)`` for a number, without its per-call overhead."""
     return repr(x) if math.isfinite(x) else json.dumps(x)
-
-
-# Rows per text block: small enough that a block's per-row strings stay well
-# below the text of a record of a few hundred thousand rows.
-_BLOCK_ROWS = 1 << 14
-
-
-def _text_blocks(column: np.ndarray, fmt):
-    """``_texts`` of ``column`` in blocks of ``_BLOCK_ROWS`` elements, bools as 0/1.
-
-    The writers join each block's texts as it comes, so no list of one
-    text per row of the whole record is ever built.
-    """
-    for start in range(0, column.shape[0], _BLOCK_ROWS):
-        block = column[start:start + _BLOCK_ROWS]
-        yield _texts(block.astype(np.int64) if block.dtype == bool else block, fmt)
-
-
-def _texts(column: np.ndarray, fmt) -> list[str]:
-    """``fmt`` of every element, called once per distinct 64-bit pattern.
-
-    Distinct by bit pattern, not by value, so -0.0 and 0.0 keep their own
-    text.
-    """
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(fmt, bits.view(column.dtype).tolist())), dtype=object)
-    return texts[inverse].tolist()
 
 
 def make_run_record(
@@ -340,90 +310,13 @@ def make_run_record(
     )
 
 
-def _read_header(handle: TextIO, kind: str,
-                 version: int) -> tuple[dict[str, str], str, int]:
-    """Read a record file's version line, metadata lines and column header.
-
-    Returns (metadata, column header, lines read) and leaves ``handle``
-    at the first data row; the column header is "" when the file has none.
-    """
-    first = handle.readline().rstrip("\n")
-    if not first.startswith(f"# {kind} v"):
-        raise ParseError(f"missing '# {kind} v<N>' version line")
-    got = first[len(f"# {kind} v"):].strip()
-    if got != str(version):
-        raise ParseError(f"unsupported {kind} version {got!r} (expected {version})")
-    meta: dict[str, str] = {}
-    lines_read = 1
-    for line in iter(handle.readline, ""):
-        lines_read += 1
-        if line.startswith("#"):
-            key, sep, value = line[1:].partition("=")
-            if sep:
-                meta[key.strip()] = value.strip()
-        elif line.strip():
-            return meta, line.rstrip("\n"), lines_read
-    return meta, "", lines_read
-
-
-def _loadtxt(lines, dtype: np.dtype) -> np.ndarray:
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(lines, delimiter=",", dtype=dtype, ndmin=1)
-
-
-def _load_rows(handle: TextIO, dtype: np.dtype, what: str, lines_read: int) -> np.ndarray:
-    """Parse the rest of ``handle`` as CSV rows of ``dtype`` (in C, via loadtxt).
-
-    Comment and empty lines are skipped. A malformed row, an int field
-    holding a float, or no rows at all raise ParseError; a malformed row's
-    message names its file line (``lines_read`` lines precede the body).
-    """
-    start = handle.tell()
-    try:
-        rows = _loadtxt(handle, dtype)
-    except ValueError as exc:
-        handle.seek(start)
-        raise _bad_line_error(handle, dtype, what, lines_read + 1, exc) from None
-    if rows.size == 0:
-        raise ParseError(f"{what} has no data rows")
-    return rows
-
-
-def _bad_line_error(handle: TextIO, dtype: np.dtype, what: str, line_number: int,
-                    exc: ValueError) -> ParseError:
-    """Locate the first line loadtxt rejects: re-parse in chunks, then line by line.
-
-    loadtxt numbers rows from the start of its input, skipping comment and
-    empty lines, so its own row number is not a file line.
-    """
-    while chunk := list(itertools.islice(handle, 4096)):
-        try:
-            _loadtxt(chunk, dtype)
-        except ValueError:
-            for offset, line in enumerate(chunk):
-                try:
-                    _loadtxt([line], dtype)
-                except ValueError as line_exc:
-                    message = re.sub(r" at row \d+", "", str(line_exc))
-                    return ParseError(f"{what} data line {line_number + offset}: {message}")
-        line_number += len(chunk)
-    return ParseError(f"{what} data line: {exc}")
-
-
 def read_run_record(path: str | Path) -> RunRecord:
     """Parse a run-record CSV written by :func:`write_run_record`."""
-    with open(path) as handle:
-        meta, header, lines_read = _read_header(handle, "run-record", RUN_RECORD_VERSION)
-        for key in ("run_id", "instance", "instance_seed", "solver", "config_hash",
-                    "duration_seconds"):
-            if key not in meta:
-                raise ParseError(f"run record is missing metadata line '# {key}=...'")
-        if header.split(",") != list(_RUN_COLUMNS):
-            raise ParseError(
-                f"run record column header must be {','.join(_RUN_COLUMNS)!r}"
-            )
-        rows = _load_rows(handle, _RUN_DTYPE, "run record", lines_read)
+    meta, rows = read_table(path, "run-record", RUN_RECORD_VERSION, _RUN_DTYPE, "run record")
+    for key in ("run_id", "instance", "instance_seed", "solver", "config_hash",
+                "duration_seconds"):
+        if key not in meta:
+            raise ParseError(f"run record is missing metadata line '# {key}=...'")
     return RunRecord(
         run_id=meta["run_id"],
         instance_name=meta["instance"],
@@ -543,18 +436,13 @@ class RegretCurve:
         return float(out) if out.ndim == 0 else out
 
     def to_csv(self) -> str:
-        lines = [f"# regret-curve v{REGRET_CURVE_VERSION}", "evals_used,min_regret"]
-        for e, r in zip(self.evals, self.regrets):
-            lines.append(f"{int(e)},{float(r)!r}")
-        return "\n".join(lines) + "\n"
+        return format_table("regret-curve", REGRET_CURVE_VERSION,
+                            {"evals_used": self.evals, "min_regret": self.regrets})
 
 
 def read_regret_curve(path: str | Path) -> RegretCurve:
-    with open(path) as handle:
-        _, header, lines_read = _read_header(handle, "regret-curve", REGRET_CURVE_VERSION)
-        if header != "evals_used,min_regret":
-            raise ParseError("regret curve column header must be 'evals_used,min_regret'")
-        rows = _load_rows(handle, _CURVE_DTYPE, "regret curve", lines_read)
+    _, rows = read_table(path, "regret-curve", REGRET_CURVE_VERSION, _CURVE_DTYPE,
+                         "regret curve")
     return RegretCurve(evals=rows["evals_used"], regrets=rows["min_regret"])
 
 
@@ -566,6 +454,9 @@ class ParetoPoint:
 
     def __post_init__(self) -> None:
         require(bool(self.label), "label must be nonempty")
+        # a table field holds no separator, comment mark or line break
+        require(not any(c in self.label for c in ",#\r\n"),
+                f"label must not contain ',', '#' or a line break, got {self.label!r}")
         require(float(self.budget) > 0, f"budget must be > 0, got {self.budget}")
         require(
             float(self.min_regret) >= 0 and not np.isnan(self.min_regret),
@@ -616,32 +507,17 @@ class ParetoReport:
         return volume
 
     def to_csv(self) -> str:
-        lines = [f"# pareto-report v{PARETO_REPORT_VERSION}", "label,budget,min_regret"]
-        for p in self.points:
-            lines.append(f"{p.label},{p.budget!r},{p.min_regret!r}")
-        return "\n".join(lines) + "\n"
+        return format_table("pareto-report", PARETO_REPORT_VERSION, {
+            "label": [p.label for p in self.points],
+            "budget": [p.budget for p in self.points],
+            "min_regret": [p.min_regret for p in self.points],
+        })
 
 
 def read_pareto_report(path: str | Path) -> ParetoReport:
-    points = []
-    with open(path) as handle:
-        _, header, lines_read = _read_header(handle, "pareto-report", PARETO_REPORT_VERSION)
-        if header != "label,budget,min_regret":
-            raise ParseError("pareto report column header must be 'label,budget,min_regret'")
-        for line_number, line in enumerate(handle, start=lines_read + 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            where = f"pareto report data line {line_number}"
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{where}: expected 3 fields, got {len(parts)}")
-            try:
-                points.append(ParetoPoint(parts[0], float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise ParseError(f"{where}: {exc}") from None
-    if not points:
-        raise ParseError("pareto report has no points")
-    return ParetoReport(points=tuple(points))
+    _, rows = read_table(path, "pareto-report", PARETO_REPORT_VERSION, _PARETO_DTYPE,
+                         "pareto report")
+    return ParetoReport.from_arrays(rows["label"], rows["budget"], rows["min_regret"])
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ exact rationals) and deliberately avoids reusing the package's own
 vectorized code paths, so agreement between the two is meaningful.
 """
 
+import csv
+import io
 from fractions import Fraction
 from itertools import product
 
@@ -210,3 +212,76 @@ def brute_force_count_windows(length, offsets):
 
 def all_sequences_as_tuples(vocab_size, length):
     return list(product(range(vocab_size), repeat=length))
+
+
+# Reference table writers: one hand-written line per row, as each table
+# was written before the package routed them all through one formatter.
+
+def curve_csv(curve) -> str:
+    lines = ["# regret-curve v1", "evals_used,min_regret"]
+    for e, r in zip(curve.evals, curve.regrets):
+        lines.append(f"{int(e)},{float(r)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def pareto_csv(report) -> str:
+    lines = ["# pareto-report v1", "label,budget,min_regret"]
+    for p in report.points:
+        lines.append(f"{p.label},{p.budget!r},{p.min_regret!r}")
+    return "\n".join(lines) + "\n"
+
+
+def round_report_csv(rows) -> str:
+    """``rows`` are (run_id, RoundSummary) pairs."""
+    lines = [
+        "# round-report v1",
+        "run_id,round,num_evals,unique_pct,feasible_pct,"
+        "mean_margin_reward,max_margin_reward,min_regret",
+    ]
+    for run_id, s in rows:
+        lines.append(
+            f"{run_id},{s.round_index},{s.num_evals},{s.unique_pct!r},"
+            f"{s.feasible_pct!r},{s.mean_margin_reward!r},"
+            f"{s.max_margin_reward!r},{s.min_regret!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def sweep_table_csv(axis, base_name, instance_seed, budget, seeds, marks, medians) -> str:
+    """``medians`` maps each axis value to its median regret at each mark."""
+    header = ["evals_used"] + [f"{axis}={value}" for value in medians]
+    lines = [
+        "# sweep-table v1",
+        f"# axis={axis}",
+        f"# base={base_name}",
+        f"# instance_seed={instance_seed}",
+        f"# budget={budget}",
+        f"# seeds={','.join(str(s) for s in seeds)}",
+        ",".join(header),
+    ]
+    for row, mark in enumerate(marks):
+        cells = [str(mark)] + [repr(float(column[row])) for column in medians.values()]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def bench_csv(results) -> str:
+    """``results`` are (backend, sequences per second) pairs."""
+    lines = ["# bench v1", "backend,seqs_per_sec"]
+    lines += [f"{backend},{rate!r}" for backend, rate in results]
+    return "\n".join(lines) + "\n"
+
+
+def loss_batch_csv(batch) -> str:
+    """A ``csv.writer`` loss batch: a "\\n" version line, then "\\r\\n" rows."""
+    handle = io.StringIO()
+    handle.write("# loss-batch v1\n")
+    writer = csv.writer(handle)
+    writer.writerow(("x_id", "y_id", "log_pi_theta", "log_pi_ref", "reward", "length"))
+    for i in range(len(batch)):
+        writer.writerow([
+            int(batch.x_ids[i]), int(batch.y_ids[i]),
+            repr(float(batch.log_pi_theta[i])), repr(float(batch.log_pi_ref[i])),
+            repr(float(batch.rewards[i])), int(batch.lengths[i]),
+        ])
+    return handle.getvalue()

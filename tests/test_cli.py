@@ -90,6 +90,15 @@ class TestEval:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
+    def test_unknown_backend_exit_2(self, instance_file, tmp_path, capsys, monkeypatch):
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text("0,0,0,0,0,0,0,0\n")
+        monkeypatch.setenv("EHRLICH_BACKEND", "cuda")
+        rc = cli.main(["eval", "--instance", str(instance_file),
+                       "--sequences", str(seqs)])
+        assert rc == 2
+        assert "EHRLICH_BACKEND" in capsys.readouterr().err
+
     def test_appends_score_column(self, instance_file, tmp_path, capsys):
         seqs = tmp_path / "seqs.txt"
         seqs.write_text("0,0,0,0,0,0,0,0\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ehrlich import EhrlichParams, evaluate_batch, generate
+from ehrlich import EhrlichParams, InvalidParamsError, evaluate_batch, generate
 from ehrlich.kernels import (
     ENV_BACKEND,
     HAVE_NUMBA,
@@ -41,6 +41,16 @@ def test_score_batch_rejects_unknown_backend(inst_4_16):
     batch = inst_4_16.optimum.reshape(1, -1)
     with pytest.raises(ValueError, match="backend"):
         evaluate_batch(inst_4_16, batch, backend="bogus")
+
+
+@pytest.mark.skipif(HAVE_NUMBA, reason="numba is importable")
+def test_missing_numba_is_invalid_params(inst_4_16, monkeypatch):
+    batch = inst_4_16.optimum.reshape(1, -1)
+    with pytest.raises(InvalidParamsError, match="numba"):
+        evaluate_batch(inst_4_16, batch, backend="numba")
+    monkeypatch.setenv(ENV_BACKEND, "numba")
+    with pytest.raises(InvalidParamsError, match="EHRLICH_BACKEND"):
+        active_backend()
 
 
 @needs_numba

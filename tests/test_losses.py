@@ -165,6 +165,48 @@ class TestLossBatch:
         with pytest.raises(ParseError, match="malformed"):
             read_loss_batch(path)
 
+    @staticmethod
+    def mixed_batch():
+        return LossBatch(
+            x_ids=np.array([0, 3, 1, 2]), y_ids=np.array([2, 3, 1, 0]),
+            log_pi_theta=np.array([-2.0 / 3.0, -0.0, -1e-300, -(0.1 + 0.2)]),
+            log_pi_ref=np.array([-0.5, -1.0, -3.5, -2.0 / 3.0]),
+            rewards=np.array([0.0, 0.1 + 0.2, -0.0, 2.0 / 3.0]),
+            lengths=np.array([1, 4, 2, 7]),
+        )
+
+    def test_csv_matches_reference_apart_from_line_endings(self, tmp_path):
+        batch = self.mixed_batch()
+        path = tmp_path / "batch.csv"
+        write_loss_batch(batch, path)
+        assert path.read_bytes() == oracles.loss_batch_csv(batch).replace("\r\n", "\n").encode()
+
+    def test_csv_reads_crlf_rows(self, tmp_path):
+        batch = self.mixed_batch()
+        path = tmp_path / "batch.csv"
+        with open(path, "w", newline="") as handle:
+            handle.write(oracles.loss_batch_csv(batch))
+        assert b"\r\n" in path.read_bytes()
+        back = read_loss_batch(path)
+        for field in ("x_ids", "y_ids", "log_pi_theta", "log_pi_ref", "rewards", "lengths"):
+            assert getattr(back, field).tobytes() == getattr(batch, field).tobytes()
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,2,-0.5,-0.5,0.1", "expected 6 fields, got 5"),
+        ("1,2,-0.5,half,0.1,1", "could not convert"),
+    ], ids=["short-row", "non-numeric-field"])
+    def test_csv_error_names_the_file_line(self, tmp_path, row, message):
+        lines = ["# loss-batch v1", "x_id,y_id,log_pi_theta,log_pi_ref,reward,length",
+                 "0,1,-0.25,-0.5,0.0,1", row]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"malformed loss batch data line 4: {message}"):
+            read_loss_batch(path)
+        lines[2:2] = ["# a comment in the body", ""]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"malformed loss batch data line 6: {message}"):
+            read_loss_batch(path)
+
     def test_config_validation(self):
         LossConfig(beta=2.0, lam=0.0)
         with pytest.raises(InvalidParamsError):

@@ -3,10 +3,13 @@
 import gc
 import json
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import ehrlich.cli as cli
+import oracles
 from ehrlich import (
     EhrlichParams,
     EvalLedger,
@@ -443,6 +446,74 @@ class TestRunRecordBytes:
         assert json.loads(record.to_json())["run_id"] == 'run "é"'
 
 
+def mixed_floats(n):
+    """n floats cycling through -inf, -0.0, 2/3, inf, 0.0, 0.1 + 0.2 and 1e-300."""
+    pool = [-np.inf, -0.0, 2.0 / 3.0, np.inf, 0.0, 0.1 + 0.2, 1e-300]
+    return np.array([pool[i % len(pool)] for i in range(n)])
+
+
+class TestTableBytes:
+    """Every table the package writes equals its hand-written reference writer."""
+
+    def test_regret_curve(self):
+        curve = RegretCurve(evals=[1, 3, 4, 9], regrets=[np.inf, 2.0 / 3.0, 1e-300, -0.0])
+        assert curve.to_csv() == oracles.curve_csv(curve)
+        curve = RegretCurve.from_record(mixed_record())
+        assert curve.to_csv() == oracles.curve_csv(curve)
+
+    def test_pareto_report(self):
+        report = ParetoReport.from_arrays(
+            ["q=1", "q=1", "q=2", "q=2"], [1.0, 2.0 / 3.0, 1e-300, 3.0],
+            [np.inf, -0.0, 2.0 / 3.0, 0.0])
+        assert report.to_csv() == oracles.pareto_csv(report)
+
+    def test_round_report(self, tmp_path, capsys):
+        csv_path = write_run_record(mixed_record(), tmp_path)
+        out = tmp_path / "report.csv"
+        assert cli.main(["report", "--records", str(csv_path), "--out", str(out)]) == 0
+        rows = [("test-run", s) for s in round_summaries(mixed_record())]
+        assert out.read_text() == oracles.round_report_csv(rows)
+
+    def test_sweep_table(self, tmp_path, monkeypatch, capsys):
+        # each run's record is made up, so the medians cover inf, 1 - 1/3 and 0.0
+        runs = {}
+
+        def fake_run(function, args, seed, budget, out_dir, run_id):
+            values = np.full(budget, -np.inf)
+            values[budget // 2:] = 1.0 / 3.0
+            values[-2:] = 1.0
+            runs[run_id] = record = small_record(values, tokens=np.zeros((budget, 2)))
+            return record
+
+        monkeypatch.setattr(cli, "_execute_ga_run", fake_run)
+        rc = cli.main(["sweep", "--name", "Ehr(4,8)-2-2-2", "--instance-seed", "3",
+                       "--axis", "q", "--values", "1,2", "--budget", "20",
+                       "--particles", "4", "--seeds", "2", "--out-dir", str(tmp_path)])
+        assert rc == 0
+        marks = cli._checkpoints(20)
+        medians = {}
+        for value in (1, 2):
+            at_marks = [RegretCurve.from_record(record).regret_at(np.asarray(marks))
+                        for run_id, record in runs.items() if run_id.startswith(f"sweep-q{value}-")]
+            medians[value] = np.median(np.stack(at_marks), axis=0)
+        assert {float(m) for column in medians.values() for m in column} == {
+            np.inf, 1.0 - 1.0 / 3.0, 0.0}
+        expected = oracles.sweep_table_csv("q", "Ehr(4,8)-2-2-2", 3, 20, [0, 1], marks, medians)
+        assert (tmp_path / "sweep-q-table.csv").read_text() == expected
+        report = read_pareto_report(tmp_path / "sweep-q-pareto.csv")
+        assert (tmp_path / "sweep-q-pareto.csv").read_text() == oracles.pareto_csv(report)
+
+    def test_bench(self, tmp_path, monkeypatch, capsys):
+        # two timer reads 3 s apart around 2 sequences: a rate of 2/3 per second
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=iter([0.0, 3.0]).__next__))
+        monkeypatch.setattr(cli, "available_backends", lambda: ("numpy",))
+        out = tmp_path / "bench.csv"
+        rc = cli.main(["bench", "--name", "Ehr(4,8)-2-2-2", "--batch", "2",
+                       "--repeats", "1", "--out", str(out)])
+        assert rc == 0
+        assert out.read_text() == oracles.bench_csv([("numpy", 2.0 / 3.0)])
+
+
 class TestReadRunRecord:
     @pytest.mark.parametrize("edited", [
         "6,1,0.5,1",
@@ -596,6 +667,11 @@ class TestParetoReport:
             ParetoPoint("a", 0.0, 0.5)
         with pytest.raises(InvalidParamsError, match="min_regret"):
             ParetoPoint("a", 1.0, -0.5)
+
+    @pytest.mark.parametrize("label", ["a,b", "a#b", "a\nb"], ids=["comma", "hash", "newline"])
+    def test_rejects_labels_a_table_cannot_hold(self, label):
+        with pytest.raises(InvalidParamsError, match="label must not contain"):
+            ParetoPoint(label, 1.0, 0.5)
 
     @pytest.mark.parametrize("row, message", [
         ("b,2.0", "expected 3 fields, got 2"),
