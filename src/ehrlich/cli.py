@@ -37,7 +37,13 @@ from .errors import (
 )
 from .function import EhrlichParams, generate
 from .ga import GAConfig, run_ga
-from .instance_io import format_sequences, parse_sequences, read_instance, serialize_instance
+from .instance_io import (
+    format_sequences,
+    parse_sequences,
+    read_instance,
+    read_text,
+    serialize_instance,
+)
 from .kernels import available_backends
 from .llome import LoopConfig, run_llome, run_presolver
 from .proposers import baseline_mutation_proposer
@@ -80,10 +86,19 @@ def _out_dir(args) -> Path:
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
+    """The integers of a comma-separated list, each at most once.
+
+    A repeated entry would name the same output files twice, so it is
+    refused here, before any compute is spent.
+    """
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        values = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise InvalidParamsError(f"{what} must be a comma-separated list of integers, got {text!r}") from None
+    repeated = sorted({value for value in values if values.count(value) > 1})
+    if repeated:
+        raise InvalidParamsError(f"{what} repeats {', '.join(map(str, repeated))}: {text!r}")
+    return values
 
 
 def _parse_float_list(text: str, what: str) -> list[float]:
@@ -113,12 +128,19 @@ def _param_overrides(args) -> dict:
     return overrides
 
 
+def _input_path(name: str, what: str) -> Path:
+    """``name`` as a path to an existing file, else an InvalidParamsError."""
+    path = Path(name)
+    if not path.exists():
+        raise InvalidParamsError(f"{what} not found: {path}")
+    if path.is_dir():
+        raise InvalidParamsError(f"{what} is a directory: {path}")
+    return path
+
+
 def _function_from_args(args):
     if getattr(args, "instance", None):
-        path = Path(args.instance)
-        if not path.exists():
-            raise InvalidParamsError(f"instance file not found: {path}")
-        return read_instance(path)
+        return read_instance(_input_path(args.instance, "instance file"))
     if getattr(args, "name", None):
         params = EhrlichParams.from_name(
             args.name, seed=args.instance_seed, **_param_overrides(args)
@@ -213,12 +235,10 @@ def cmd_gen(args) -> int:
 # --- eval -----------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    function = read_instance(args.instance)
-    path = Path(args.sequences)
-    if not path.exists():
-        raise InvalidParamsError(f"sequence file not found: {path}")
+    function = read_instance(_input_path(args.instance, "instance file"))
+    path = _input_path(args.sequences, "sequence file")
     tokens, _ = parse_sequences(
-        path.read_text(), function.params.length, function.params.vocab_size
+        read_text(path, "sequence file"), function.params.length, function.params.vocab_size
     )
     if tokens.shape[0] == 0:
         raise InvalidParamsError(f"sequence file is empty: {path}")
@@ -446,7 +466,7 @@ def cmd_sweep(args) -> int:
 # --- report ---------------------------------------------------------------
 
 def cmd_report(args) -> int:
-    paths: list[Path] = [Path(p) for p in args.records or []]
+    paths = [_input_path(p, "record file") for p in args.records or []]
     if args.records_dir:
         # The output directory also holds curve/sweep CSVs; take only
         # files that identify themselves as run records.
@@ -456,8 +476,6 @@ def cmd_report(args) -> int:
         raise InvalidParamsError("provide record files or --records-dir")
     rows = []
     for path in paths:
-        if not path.exists():
-            raise InvalidParamsError(f"record file not found: {path}")
         record = read_run_record(path)
         curve = RegretCurve.from_record(record)
         print(

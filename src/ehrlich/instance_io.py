@@ -7,17 +7,19 @@ optimum. Parsing re-validates every type invariant and names the
 violated one on failure.
 
 Sequence files are plain text: one sequence per line, comma-separated
-integers, with an optional trailing ",score" column.
+integers, with an optional trailing ",score" column. They are parsed by
+``np.loadtxt`` and written by the table writer of :mod:`ehrlich.tables`.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParamsError, ParseError
+from .errors import InvalidParamsError, ParseError, require
 from .function import (
     EhrlichFunction,
     EhrlichParams,
@@ -25,6 +27,7 @@ from .function import (
     TransitionMatrix,
     check_ergodic,
 )
+from .tables import format_rows
 
 FORMAT_VERSION = 1
 
@@ -125,7 +128,17 @@ def write_instance(function: EhrlichFunction, path: str | Path) -> None:
 
 
 def read_instance(path: str | Path) -> EhrlichFunction:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(read_text(path, "instance document"))
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 file; any other bytes are a ParseError naming ``what``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{what} is not UTF-8 text: {path} (byte {exc.start}: {exc.reason})"
+        ) from None
 
 
 def parse_sequences(
@@ -133,68 +146,116 @@ def parse_sequences(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse a sequence file into (tokens, scores-or-None).
 
-    Each line must have ``length`` integer fields, or ``length + 1``
-    fields where the last is a score. Errors name the offending line
-    and column (1-based).
+    Each non-blank line must have ``length`` token fields, or ``length +
+    1`` fields where the last is a score, the same count on every line.
+    A token is ``[+-]?[0-9]+`` and fits in int64, a score is an ASCII
+    float literal (``inf`` and ``nan`` included); either may be padded by
+    ASCII whitespace. There are no comment lines. Errors name the
+    offending line and column (1-based).
+
+    The body is parsed by ``np.loadtxt``; only when that fails does a
+    per-line scan run, to name the first offending line.
     """
-    rows: list[list[int]] = []
-    scores: list[float] = []
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines:
+        return np.zeros((0, length), dtype=np.int64), None
+    fields = lines[0].count(",") + 1
+    body = "\n".join(lines)
+    try:
+        # loadtxt's usecols make every row hold at least ``fields`` fields,
+        # and the comma count then makes it hold exactly that many.
+        if fields not in (length, length + 1) or body.count(",") != len(lines) * (fields - 1):
+            raise ValueError("field counts differ")
+        # numpy strips Unicode whitespace around a number, the grammar only
+        # ASCII whitespace.
+        if not body.isascii():
+            raise ValueError("non-ASCII text")
+        tokens = _loadtxt(lines, np.int64, range(length))
+        scores = _loadtxt(lines, np.float64, [length])[:, 0] if fields > length else None
+        if tokens.min() < 0 or (vocab_size is not None and tokens.max() >= vocab_size):
+            raise ValueError("token out of range")
+    except ValueError as exc:
+        raise _scan_error(text, length, vocab_size, exc) from None
+    return tokens, scores
+
+
+# The sequence-file grammar, as the scan checks it field by field. numpy's
+# parser accepts exactly these fields of ASCII text: it strips the ASCII
+# characters ``str.isspace`` holds, and reads no ``_`` and no hex.
+_SPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_TOKEN = re.compile(r"[+-]?[0-9]+")
+_SCORE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf(?:inity)?|nan)",
+    re.IGNORECASE,
+)
+_INT64_MAX = np.iinfo(np.int64).max
+
+
+def _loadtxt(lines: list[str], dtype, usecols) -> np.ndarray:
+    return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None,
+                      usecols=usecols, ndmin=2)
+
+
+def _scan_error(text: str, length: int, vocab_size: int | None,
+                exc: ValueError) -> ParseError:
+    """The error of the first line of ``text`` that breaks the grammar.
+
+    Called only once the numpy parse has failed, so some line breaks it;
+    ``exc`` names the failure should none be found.
+    """
     have_scores: bool | None = None
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split(",")
-        if len(fields) == length:
-            with_score = False
-        elif len(fields) == length + 1:
-            with_score = True
-        else:
-            raise ParseError(
+        if len(fields) not in (length, length + 1):
+            return ParseError(
                 f"line {line_no}: expected {length} tokens (plus optional score), "
                 f"got {len(fields)} fields"
             )
+        with_score = len(fields) > length
         if have_scores is None:
             have_scores = with_score
         elif have_scores != with_score:
-            raise ParseError(
+            return ParseError(
                 f"line {line_no}: inconsistent column count (score column must be "
                 "present on every line or on none)"
             )
-        row = []
-        for col, fieldtext in enumerate(fields[:length], start=1):
+        for col, field in enumerate(fields[:length], start=1):
+            field = field.strip(_SPACE)
             try:
-                token = int(fieldtext.strip())
-            except ValueError:
-                raise ParseError(
-                    f"line {line_no}, column {col}: malformed token {fieldtext.strip()!r}"
-                ) from None
-            if token < 0 or (vocab_size is not None and token >= vocab_size):
-                raise ParseError(
+                token = int(field) if _TOKEN.fullmatch(field) else None
+            except ValueError:  # more digits than int() converts
+                token = None
+            if token is not None and (
+                token < 0 or (vocab_size is not None and token >= vocab_size)
+            ):
+                return ParseError(
                     f"line {line_no}, column {col}: token {token} out of range "
                     f"[0, {vocab_size})"
                 )
-            row.append(token)
-        if with_score:
-            col = length + 1
-            try:
-                scores.append(float(fields[length].strip()))
-            except ValueError:
-                raise ParseError(
-                    f"line {line_no}, column {col}: malformed score "
-                    f"{fields[length].strip()!r}"
-                ) from None
-        rows.append(row)
-    tokens = np.asarray(rows, dtype=np.int64).reshape(len(rows), length)
-    return tokens, (np.asarray(scores, dtype=np.float64) if have_scores else None)
+            if token is None or token > _INT64_MAX:
+                return ParseError(f"line {line_no}, column {col}: malformed token {field!r}")
+        if with_score and not _SCORE.fullmatch(score := fields[length].strip(_SPACE)):
+            return ParseError(
+                f"line {line_no}, column {length + 1}: malformed score {score!r}"
+            )
+    return ParseError(f"malformed sequence file: {exc}")
 
 
 def format_sequences(tokens: np.ndarray, scores: np.ndarray | None = None) -> str:
-    """Render sequences (and optional scores) in the line format."""
+    """Render sequences (and optional scores) in the line format.
+
+    Each distinct token, and each distinct score (by ``repr``), is
+    formatted once, by the writer every table of the package uses.
+    """
     tokens = np.asarray(tokens, dtype=np.int64)
-    lines = []
-    for i, row in enumerate(tokens):
-        line = ",".join(str(t) for t in row)
-        if scores is not None:
-            line += f",{float(scores[i])!r}"
-        lines.append(line)
-    return "\n".join(lines) + ("\n" if lines else "")
+    require(tokens.ndim == 2 and tokens.shape[1] > 0,
+            f"tokens must be an (N, L) array with L >= 1, got shape {tokens.shape}")
+    columns = list(tokens.T)
+    if scores is not None:
+        scores = np.asarray(scores, dtype=np.float64)
+        require(scores.shape == tokens.shape[:1],
+                f"scores must have shape {tokens.shape[:1]}, got {scores.shape}")
+        columns.append(scores)
+    return format_rows(columns)

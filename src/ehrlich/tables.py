@@ -4,7 +4,8 @@ A table is a ``# <kind> v<N>`` version line, ``# key=value`` metadata
 lines, a comma-separated column header and comma-separated rows: bools
 as 0/1, ints as ``str``, floats as ``repr`` (so they read back exactly,
 -0.0 and infinities included) and string columns as they are.
-:func:`format_table` writes one and :func:`read_table` reads one back,
+:func:`format_table` writes one, its rows by :func:`format_rows` (which
+also writes sequence files), and :func:`read_table` reads one back,
 parsing the body with ``np.loadtxt``; comment and empty lines in the
 body are skipped. :func:`is_table` tells a table's kind from its first
 line.
@@ -16,7 +17,7 @@ import itertools
 import re
 import warnings
 from pathlib import Path
-from typing import Mapping, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -37,11 +38,28 @@ def format_table(kind: str, version: int, columns: Mapping[str, Sequence],
     head = [f"# {kind} v{version}",
             *(f"# {key}={value}" for key, value in (meta or {}).items()),
             ",".join(columns)]
-    parts = ["\n".join(head), "\n"]
-    blocks = (_text_blocks(_as_column(values), repr) for values in columns.values())
+    return "".join(["\n".join(head), "\n", *_row_parts(columns.values())])
+
+
+def format_rows(columns: Iterable[Sequence]) -> str:
+    """A table body: one comma-separated line, ending in a newline, per row.
+
+    Numbers are written as in :func:`format_table`; with no rows the body
+    is "".
+    """
+    return "".join(_row_parts(columns))
+
+
+def _row_parts(columns: Iterable[Sequence]):
+    """The body's text in blocks of rows, for one join with what precedes it.
+
+    Joining the header and the blocks at once, not the header and a
+    joined body, spares a copy of the whole body.
+    """
+    blocks = (_text_blocks(_as_column(values), repr) for values in columns)
     for texts in zip(*blocks):
-        parts += ["\n".join(map(",".join, zip(*texts))), "\n"]
-    return "".join(parts)
+        yield "\n".join(map(",".join, zip(*texts)))
+        yield "\n"
 
 
 def _as_column(values: Sequence) -> np.ndarray:

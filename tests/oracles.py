@@ -12,6 +12,8 @@ from itertools import product
 
 import numpy as np
 
+from ehrlich.errors import ParseError
+
 
 def enumerate_sequences(vocab_size: int, length: int) -> np.ndarray:
     """All vocab_size**length sequences as an (N, L) array, lexicographic."""
@@ -285,3 +287,72 @@ def loss_batch_csv(batch) -> str:
             repr(float(batch.rewards[i])), int(batch.lengths[i]),
         ])
     return handle.getvalue()
+
+
+# Reference sequence-file reader and writer: the per-line, per-token loops
+# the package used before it parsed with np.loadtxt and wrote through the
+# table writer. The reader takes Python's int() and float() as its grammar,
+# which is wider than the package's (it reads "1_0", non-ASCII digits and
+# NBSP-padded fields), and it raises a raw OverflowError for a token
+# beyond int64 when no vocab_size is given.
+
+def parse_sequences(text, length, vocab_size=None):
+    rows, scores = [], []
+    have_scores = None
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) == length:
+            with_score = False
+        elif len(fields) == length + 1:
+            with_score = True
+        else:
+            raise ParseError(
+                f"line {line_no}: expected {length} tokens (plus optional score), "
+                f"got {len(fields)} fields"
+            )
+        if have_scores is None:
+            have_scores = with_score
+        elif have_scores != with_score:
+            raise ParseError(
+                f"line {line_no}: inconsistent column count (score column must be "
+                "present on every line or on none)"
+            )
+        row = []
+        for col, fieldtext in enumerate(fields[:length], start=1):
+            try:
+                token = int(fieldtext.strip())
+            except ValueError:
+                raise ParseError(
+                    f"line {line_no}, column {col}: malformed token {fieldtext.strip()!r}"
+                ) from None
+            if token < 0 or (vocab_size is not None and token >= vocab_size):
+                raise ParseError(
+                    f"line {line_no}, column {col}: token {token} out of range "
+                    f"[0, {vocab_size})"
+                )
+            row.append(token)
+        if with_score:
+            col = length + 1
+            try:
+                scores.append(float(fields[length].strip()))
+            except ValueError:
+                raise ParseError(
+                    f"line {line_no}, column {col}: malformed score "
+                    f"{fields[length].strip()!r}"
+                ) from None
+        rows.append(row)
+    tokens = np.asarray(rows, dtype=np.int64).reshape(len(rows), length)
+    return tokens, (np.asarray(scores, dtype=np.float64) if have_scores else None)
+
+
+def format_sequences(tokens, scores=None) -> str:
+    tokens = np.asarray(tokens, dtype=np.int64)
+    lines = []
+    for i, row in enumerate(tokens):
+        line = ",".join(str(t) for t in row)
+        if scores is not None:
+            line += f",{float(scores[i])!r}"
+        lines.append(line)
+    return "\n".join(lines) + ("\n" if lines else "")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ehrlich.cli as cli
+import oracles
 from ehrlich import (
     GeneratorCollapseError,
     read_instance,
@@ -110,6 +111,38 @@ class TestEval:
         assert len(fields) == 9
         float(fields[-1])
 
+    def test_non_utf8_sequence_file_exit_2(self, instance_file, tmp_path, capsys):
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_bytes(b"\xff\xfe1,2\n")
+        rc = cli.main(["eval", "--instance", str(instance_file),
+                       "--sequences", str(seqs)])
+        assert rc == 2
+        assert "sequence file is not UTF-8 text" in capsys.readouterr().err
+
+    def test_directory_as_sequence_file_exit_2(self, instance_file, tmp_path, capsys):
+        rc = cli.main(["eval", "--instance", str(instance_file),
+                       "--sequences", str(tmp_path)])
+        assert rc == 2
+        assert "sequence file is a directory" in capsys.readouterr().err
+
+    def test_directory_as_instance_exit_2(self, tmp_path, capsys):
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text("0,0,0,0,0,0,0,0\n")
+        rc = cli.main(["eval", "--instance", str(tmp_path), "--sequences", str(seqs)])
+        assert rc == 2
+        assert "instance file is a directory" in capsys.readouterr().err
+
+    def test_scored_file_matches_reference_writer(self, instance_file, tmp_path, capsys):
+        rows = np.random.default_rng(3).integers(0, 4, size=(50, 8))
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text(oracles.format_sequences(rows))
+        out = tmp_path / "scored.txt"
+        rc = cli.main(["eval", "--instance", str(instance_file),
+                       "--sequences", str(seqs), "--out", str(out)])
+        assert rc == 0
+        values = read_instance(instance_file).evaluate_batch(rows)
+        assert out.read_text() == oracles.format_sequences(rows, values)
+
 
 def run_ga_args(out_dir, budget="600", seeds="2", extra=()):
     return ["run-ga", "--name", INSTANCE, "--budget", budget,
@@ -153,6 +186,12 @@ class TestRunGa:
         rc = cli.main(run_ga_args(tmp_path, budget="10"))
         assert rc == 2
         assert "budget" in capsys.readouterr().err
+
+    def test_repeated_seed_refused_before_any_run(self, tmp_path, capsys):
+        rc = cli.main(run_ga_args(tmp_path, extra=["--seed-list", "1,1"]))
+        assert rc == 2
+        assert "--seed-list repeats 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_seed_list_overrides_count(self, tmp_path, capsys):
         rc = cli.main(run_ga_args(tmp_path, extra=["--seed-list", "7"]))
@@ -264,6 +303,14 @@ class TestSweep:
         assert "must be <= length" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_repeated_value_refused_before_any_run(self, tmp_path, capsys):
+        rc = cli.main(["sweep", "--axis", "q", "--values", "2,2",
+                       "--name", INSTANCE, "--budget", "300", "--particles", "50",
+                       "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "--values repeats 2" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_rejects_empty_values(self, tmp_path, capsys):
         rc = cli.main(["sweep", "--axis", "q", "--values", ",",
                        "--name", INSTANCE, "--budget", "300",
@@ -315,6 +362,11 @@ class TestReport:
     def test_missing_record_file_exit_2(self, capsys):
         rc = cli.main(["report", "--records", "/nonexistent/run.csv"])
         assert rc == 2
+
+    def test_directory_as_record_file_exit_2(self, tmp_path, capsys):
+        rc = cli.main(["report", "--records", str(tmp_path)])
+        assert rc == 2
+        assert "record file is a directory" in capsys.readouterr().err
 
 
 class TestBench:
