@@ -320,7 +320,7 @@ def read_run_record(path: str | Path) -> RunRecord:
     return RunRecord(
         run_id=meta["run_id"],
         instance_name=meta["instance"],
-        instance_seed=int(meta["instance_seed"]),
+        instance_seed=_meta_number(meta, "instance_seed", int),
         solver=meta["solver"],
         config_hash=meta["config_hash"],
         eval_index=rows["eval_index"],
@@ -328,8 +328,19 @@ def read_run_record(path: str | Path) -> RunRecord:
         values=rows["value"],
         feasible=rows["feasible"],
         unique=rows["unique"],
-        duration_seconds=float(meta["duration_seconds"]),
+        duration_seconds=_meta_number(meta, "duration_seconds", float),
     )
+
+
+def _meta_number(meta: dict[str, str], key: str, convert):
+    """``convert`` of a run record's metadata value; a value it rejects is
+    a ParseError naming the key."""
+    try:
+        return convert(meta[key])
+    except ValueError:
+        raise ParseError(
+            f"run record metadata '{key}' is not a valid {convert.__name__}: "
+            f"{meta[key]!r}") from None
 
 
 def read_run_record_json(path: str | Path) -> RunRecord:

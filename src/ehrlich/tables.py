@@ -8,16 +8,17 @@ as 0/1, ints as ``str``, floats as ``repr`` (so they read back exactly,
 also writes sequence files), and :func:`read_table` reads one back,
 parsing the body with ``np.loadtxt``; comment and empty lines in the
 body are skipped. :func:`is_table` tells a table's kind from its first
-line.
+line. Both read UTF-8; any other bytes are a ParseError.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import re
 import warnings
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -102,7 +103,7 @@ def read_table(path: str | Path, kind: str, version: int, dtype: np.dtype,
     A wrong header, a malformed row (its message names the file line), an
     int field holding a float, or no rows at all raise ParseError.
     """
-    with open(path) as handle:
+    with _open_utf8(path, what) as handle:
         meta, header, lines_read = _read_header(handle, kind, version)
         expected = ",".join(dtype.names)
         if header != expected:
@@ -120,8 +121,19 @@ def read_table(path: str | Path, kind: str, version: int, dtype: np.dtype,
 
 def is_table(path: str | Path, kind: str) -> bool:
     """True when the file at ``path`` starts with a ``kind`` version line."""
-    with open(path) as handle:
+    with _open_utf8(path, f"{kind} file") as handle:
         return handle.readline().startswith(f"# {kind} v")
+
+
+@contextlib.contextmanager
+def _open_utf8(path: str | Path, what: str) -> Iterator[TextIO]:
+    """``path`` opened as UTF-8 text; any other bytes read from it are a
+    ParseError naming ``what``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{what} is not UTF-8 text: {path} ({exc.reason})") from None
 
 
 def _read_header(handle: TextIO, kind: str,

@@ -368,6 +368,37 @@ class TestReport:
         assert rc == 2
         assert "record file is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--records", "--records-dir"])
+    def test_non_utf8_record_exit_2(self, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"# run-record v1\n\xff\xfe\n")
+        rc = cli.main(["report", flag, str(bad if flag == "--records" else tmp_path)])
+        assert rc == 2
+        assert "is not UTF-8 text" in capsys.readouterr().err
+
+    def test_non_utf8_record_body_exit_2(self, run_dir, tmp_path, capsys):
+        # valid header and rows, then (past the first read's buffer) a data
+        # row that is not UTF-8
+        good = (run_dir / "ga-ehr-4-8-2-2-2-i0-s0.csv").read_bytes()
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(good + b"\n" * 65536 + b"9\xff,0,0.5,1,1\n")
+        rc = cli.main(["report", "--records", str(bad)])
+        assert rc == 2
+        assert "run record is not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("duration_seconds", "fast"),
+                                           ("instance_seed", "1.5")])
+    def test_malformed_metadata_number_exit_2(self, run_dir, tmp_path, capsys, key, value):
+        lines = (run_dir / "ga-ehr-4-8-2-2-2-i0-s0.csv").read_text().splitlines(keepends=True)
+        edited = [f"# {key}={value}\n" if line.startswith(f"# {key}=") else line
+                  for line in lines]
+        assert edited != lines
+        bad = tmp_path / "bad.csv"
+        bad.write_text("".join(edited))
+        rc = cli.main(["report", "--records", str(bad)])
+        assert rc == 2
+        assert f"'{key}' is not a valid" in capsys.readouterr().err
+
 
 class TestBench:
     def test_reports_all_backends(self, tmp_path, capsys):

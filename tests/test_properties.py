@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ehrlich import (
     EhrlichParams,
     evaluate,
@@ -13,6 +14,7 @@ from ehrlich import (
     sample_dmp,
     serialize_instance,
 )
+from ehrlich.kernels import feasible_rows
 
 # Keep generation-heavy properties cheap: tiny alphabets, short sequences.
 small_seed = st.integers(min_value=0, max_value=2**32 - 1)
@@ -82,3 +84,34 @@ _DMP_HOST = generate(EhrlichParams(vocab_size=4, length=8, num_motifs=2,
 def test_dmp_samples_always_feasible(seed, length):
     draw = sample_dmp(_DMP_HOST.transition, length, (seed, 99))
     assert is_feasible(draw, _DMP_HOST.transition)
+
+
+@st.composite
+def feasibility_case(draw):
+    """A random (v, v) mask, v up to 300, and an (N, L) token batch in int64
+    or in the narrow dtype that holds v - 1, C-ordered or laid out as the
+    transpose of an (L, N) array (as the numpy kernel passes it)."""
+    vocab = draw(st.one_of(st.integers(1, 300), st.sampled_from([16, 17, 255, 256, 257, 300])))
+    density = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    mask = np.random.default_rng(draw(small_seed)).random((vocab, vocab)) < density
+    length = draw(st.integers(1, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, vocab - 1), min_size=length, max_size=length),
+                         max_size=6))
+    tokens = np.array(rows, dtype=np.int64).reshape(len(rows), length)
+    if draw(st.booleans()):
+        tokens = tokens.astype(np.min_scalar_type(vocab - 1))
+    if draw(st.booleans()):
+        tokens = np.ascontiguousarray(tokens.T).T
+    return tokens, mask
+
+
+@given(feasibility_case())
+@settings(max_examples=300, deadline=None)
+def test_feasible_rows_matches_scan(case):
+    # A flat index a * v + b computed in a dtype narrower than v**2 - 1
+    # would wrap and look up the wrong mask entry.
+    tokens, mask = case
+    expected = np.array([oracles.feasible_by_scan(row, mask) for row in tokens], dtype=bool)
+    got = feasible_rows(tokens, mask)
+    assert got.dtype == bool and got.shape == (tokens.shape[0],)
+    assert np.array_equal(got, expected)
