@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,17 +32,55 @@ from .tables import format_rows
 
 FORMAT_VERSION = 1
 
+# Short key in the document: (EhrlichParams field, whether it is an integer).
 _PARAM_KEYS = {
-    "v": "vocab_size",
-    "L": "length",
-    "c": "num_motifs",
-    "k": "motif_length",
-    "q": "quantization",
-    "a": "epistasis_factor",
-    "tau": "softmax_temperature",
-    "feasible_fraction": "feasible_fraction",
-    "seed": "seed",
+    "v": ("vocab_size", True),
+    "L": ("length", True),
+    "c": ("num_motifs", True),
+    "k": ("motif_length", True),
+    "q": ("quantization", True),
+    "a": ("epistasis_factor", False),
+    "tau": ("softmax_temperature", False),
+    "feasible_fraction": ("feasible_fraction", False),
+    "seed": ("seed", True),
 }
+
+_INT64 = np.iinfo(np.int64)
+# What an array field of each dtype may hold: (description, element test).
+# JSON booleans are Python ints, so the tests compare types exactly.
+_ELEMENTS = {
+    np.int64: ("integers", lambda x: type(x) is int and _INT64.min <= x <= _INT64.max),
+    np.float64: ("numbers", lambda x: type(x) is float
+                 or (type(x) is int and abs(x) <= sys.float_info.max)),
+    bool: ("booleans", lambda x: type(x) is bool or (type(x) is int and x in (0, 1))),
+}
+
+
+def _param(raw: dict, short: str):
+    value = raw[short]
+    integral = _PARAM_KEYS[short][1]
+    if type(value) is not int and (integral or type(value) is not float):
+        kind = "an integer" if integral else "a number"
+        raise ParseError(f"instance param {short!r} must be {kind}, got {value!r}")
+    return value
+
+
+def _field_array(doc: dict, field: str, dtype, ndim: int) -> np.ndarray:
+    """``doc[field]`` as an ndim array; another shape or element is a ParseError."""
+    value = doc[field]
+    rows = value if ndim == 2 else [value]
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in rows):
+        shape = "a list of lists" if ndim == 2 else "a list"
+        raise ParseError(f"instance field {field!r} must be {shape}")
+    lengths = sorted({len(row) for row in rows})
+    if len(lengths) > 1:
+        raise ParseError(f"instance field {field!r} is ragged: rows of lengths {lengths}")
+    kind, accepts = _ELEMENTS[dtype]
+    for row in rows:
+        for item in row:
+            if not accepts(item):
+                raise ParseError(f"instance field {field!r} must hold {kind}, got {item!r}")
+    return np.array(value, dtype=dtype)
 
 
 def serialize_instance(function: EhrlichFunction) -> str:
@@ -89,10 +128,12 @@ def parse_instance(document: str) -> EhrlichFunction:
             raise ParseError(f"instance document missing field {key!r}")
 
     raw = doc["params"]
+    if not isinstance(raw, dict):
+        raise ParseError("instance params must be a JSON object")
     missing = sorted(set(_PARAM_KEYS) - set(raw))
     if missing:
         raise ParseError(f"instance params missing keys: {', '.join(missing)}")
-    params = EhrlichParams(**{full: raw[short] for short, full in _PARAM_KEYS.items()})
+    params = EhrlichParams(**{_PARAM_KEYS[short][0]: _param(raw, short) for short in _PARAM_KEYS})
 
     name = doc.get("name")
     if name is not None and name != params.name:
@@ -101,8 +142,8 @@ def parse_instance(document: str) -> EhrlichFunction:
         )
 
     transition = TransitionMatrix(
-        entries=np.asarray(doc["transition"], dtype=np.float64),
-        mask=np.asarray(doc["mask"], dtype=bool),
+        entries=_field_array(doc, "transition", np.float64, 2),
+        mask=_field_array(doc, "mask", bool, 2),
     )
     if transition.vocab_size != params.vocab_size:
         raise InvalidParamsError(
@@ -112,14 +153,14 @@ def parse_instance(document: str) -> EhrlichFunction:
     if not check_ergodic(transition):
         raise InvalidParamsError("transition matrix is not ergodic")
     motifs = SpacedMotifs(
-        motifs=np.asarray(doc["motifs"], dtype=np.int64),
-        offsets=np.asarray(doc["offsets"], dtype=np.int64),
+        motifs=_field_array(doc, "motifs", np.int64, 2),
+        offsets=_field_array(doc, "offsets", np.int64, 2),
     )
     return EhrlichFunction(
         params=params,
         transition=transition,
         motifs=motifs,
-        optimum=np.asarray(doc["optimum"], dtype=np.int64),
+        optimum=_field_array(doc, "optimum", np.int64, 1),
     )
 
 

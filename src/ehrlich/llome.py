@@ -192,21 +192,15 @@ class LlomeResult:
         return regret_of_value(self.best.value)
 
 
-# (anchor, labeled row) distances format_dataset holds at once, in row
-# blocks; each costs about 30 bytes of scratch.
+# (anchor, labeled row) keys format_dataset holds at once, in row blocks;
+# each is one float32 (or float64) key.
 _BLOCK_ELEMENTS = 1 << 21
+# Integers below this are exact in float32; k-NN keys stay below (L+1)*n.
+_FLOAT32_EXACT = 1 << 24
 
 
-def _lexicographic_ranks(tokens: np.ndarray) -> np.ndarray:
-    # lexsort uses its last key as primary, so feed columns reversed.
-    order = np.lexsort(tokens[:, ::-1].T)
-    ranks = np.empty(tokens.shape[0], dtype=np.int64)
-    ranks[order] = np.arange(tokens.shape[0])
-    return ranks
-
-
-def _position_one_hot(tokens: np.ndarray) -> np.ndarray:
-    """(N, W) float32 indicator of each row's (position, token) pairs.
+def _position_one_hot(tokens: np.ndarray, dtype) -> np.ndarray:
+    """(N, W) indicator of each row's (position, token) pairs.
 
     W counts the distinct pairs present, so any int64 token values work,
     and the dot product of two rows is their number of matching positions.
@@ -215,8 +209,8 @@ def _position_one_hot(tokens: np.ndarray) -> np.ndarray:
     distinct, codes = np.unique(tokens, return_inverse=True)
     cells = codes.reshape(n, length) + np.arange(length) * distinct.size
     distinct, cells = np.unique(cells, return_inverse=True)
-    one_hot = np.zeros((n, distinct.size), dtype=np.float32)
-    np.put_along_axis(one_hot, cells.reshape(n, length), 1.0, axis=1)
+    one_hot = np.zeros((n, distinct.size), dtype=dtype)
+    np.put_along_axis(one_hot, cells.reshape(n, length), 1, axis=1)
     return one_hot
 
 
@@ -234,8 +228,10 @@ def format_dataset(scored: ScoredSet, mode: str = "pairs",
     is legal.
 
     Anchors are processed in row blocks, so memory is O(block * N), not
-    O(N^2). Distances are L minus the float32 product of position one-hot
-    rows, which counts matches exactly while L < 2**24.
+    O(N^2). Each neighbor's key, n * (L - matches) + its lexicographic
+    rank, comes out of one BLAS product of position one-hot rows. Every
+    key is an integer below (L+1) * n, so the product is exact in
+    float32 while (L+1) * n < 2**24, and runs in float64 beyond that.
     """
     require(mode in ("pairs", "triples"), f"mode must be 'pairs' or 'triples', got {mode!r}")
     require(len(scored) >= 1, "scored set must be nonempty")
@@ -244,27 +240,32 @@ def format_dataset(scored: ScoredSet, mode: str = "pairs",
     pairs: list[tuple[np.ndarray, ...]] = []
     triples: list[tuple[np.ndarray, ...]] = []
     if n >= 2:
-        one_hot = _position_one_hot(tokens)
-        # The composite integer key n * (L - matches) + lexicographic rank
-        # makes the k-NN selection total-ordered: distance first, rank second.
-        key_offsets = length * n + _lexicographic_ranks(tokens)
+        key_dtype = np.float32 if (length + 1) * n < _FLOAT32_EXACT else np.float64
+        one_hot = _position_one_hot(tokens, key_dtype)
+        # lexsort uses its last key as primary, so feed columns reversed.
+        by_rank = np.lexsort(tokens[:, ::-1].T)
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[by_rank] = np.arange(n)
+        # -n per matching position, plus a column of ones against L*n + rank:
+        # the product is the whole key, distance first, rank second.
+        anchor_side = np.hstack([one_hot * key_dtype(-n), np.ones((n, 1), key_dtype)])
+        labeled_side = np.hstack([one_hot, (length * n + ranks)[:, None].astype(key_dtype)])
+        del one_hot
         kk = min(k_n, n - 1)
         max_dist = delta_x * length
         block = max(1, _BLOCK_ELEMENTS // n)
         for start in range(0, n, block):
             anchors = np.arange(start, min(start + block, n))
-            keys = (one_hot[start:start + block] @ one_hot.T).astype(np.int64)
-            keys *= -n
-            keys += key_offsets
-            keys[anchors - start, anchors] = np.iinfo(np.int64).max
-            neighbor_ids = np.argpartition(keys, kk - 1, axis=1)[:, :kk]
-            # argpartition leaves the kept block unordered; sort by key so
-            # neighbor lists are deterministic.
-            row_keys = np.take_along_axis(keys, neighbor_ids, axis=1)
+            keys = anchor_side[start:start + block] @ labeled_side.T
+            keys[anchors - start, anchors] = np.inf
+            keys.partition(kk - 1, axis=1)
+            # Keys are distinct, so sorting the kept ones orders each
+            # neighbor list; the quotient by n is the distance and the
+            # remainder the rank, which names the neighbor.
+            distance, rank = np.divmod(np.sort(keys[:, :kk], axis=1).astype(np.float64), n)
             del keys
-            by_key = np.argsort(row_keys, axis=1)
-            neighbor_ids = np.take_along_axis(neighbor_ids, by_key, axis=1)
-            in_range = np.take_along_axis(row_keys, by_key, axis=1) // n <= max_dist
+            neighbor_ids = by_rank[rank.astype(np.intp)]
+            in_range = distance <= max_dist
             anchor_values = values[anchors, None]
             neighbor_values = values[neighbor_ids]
             improving = in_range & (neighbor_values > anchor_values)
@@ -328,11 +329,32 @@ def _dedupe(rows: np.ndarray, logliks: np.ndarray) -> tuple[np.ndarray, np.ndarr
     log-likelihood -- what "first seen wins; a strictly higher
     log-likelihood replaces" leaves behind.
     """
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
-    # A stable sort gathers equal rows and keeps each group in arrival order.
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
+    n, length = rows.shape
+    lo, hi = (int(rows.min()), int(rows.max())) if rows.size else (0, 0)
+    width = (hi - lo).bit_length()
+    arrival_bits = (n - 1).bit_length()
+    if length * width + arrival_bits <= 64:
+        # Each row, less the minimum, packs into one word; with the arrival
+        # index in the low bits, a plain sort gathers equal rows and keeps
+        # each group in arrival order. Subtracting in the row dtype may
+        # wrap, but read as unsigned the difference is exact: it is below
+        # 2**width, and width fits the dtype.
+        offsets = (rows - rows.dtype.type(lo)).view(f"u{rows.dtype.itemsize}")
+        key = offsets[:, 0].astype(np.uint64)
+        for column in range(1, length):
+            key <<= np.uint64(width)
+            key |= offsets[:, column]
+        key <<= np.uint64(arrival_bits)
+        key |= np.arange(n, dtype=np.uint64)
+        ranked = np.sort(key)
+        order = (ranked & np.uint64((1 << arrival_bits) - 1)).astype(np.intp)
+        ranked >>= np.uint64(arrival_bits)
+    else:
+        rows = np.ascontiguousarray(rows)
+        keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * length))).ravel()
+        # A stable sort gathers equal rows and keeps each group in arrival order.
+        order = np.argsort(keys, kind="stable")
+        ranked = keys[order]
     is_start = np.r_[True, ranked[1:] != ranked[:-1]]
     starts = np.flatnonzero(is_start)
     group = np.cumsum(is_start) - 1

@@ -186,6 +186,31 @@ def dedupe_proposals(batches, seed_values):
     return tokens, logliks, seed_idx, seed_val
 
 
+def dedupe_by_void_sort(rows, logliks):
+    """Reference for ``llome._dedupe``: one stable sort over a void view.
+
+    Each row is viewed as one opaque byte string, so equal rows sort
+    together whatever their width, and the stable sort keeps each group
+    in arrival order. Returns (first, winner): per distinct row, in
+    first-seen order, the index of its first occurrence and of its
+    earliest occurrence at the group's maximum log-likelihood.
+    """
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    is_start = np.r_[True, ranked[1:] != ranked[:-1]]
+    starts = np.flatnonzero(is_start)
+    group = np.cumsum(is_start) - 1
+    ranked_logliks = logliks[order]
+    at_max = np.flatnonzero(
+        ranked_logliks == np.maximum.reduceat(ranked_logliks, starts)[group])
+    leads = at_max[np.r_[True, group[at_max][1:] != group[at_max][:-1]]]
+    first, winner = order[starts], order[leads]
+    by_arrival = np.argsort(first)
+    return first[by_arrival], winner[by_arrival]
+
+
 def central_difference_gradient(func, x, step=1e-5):
     """Central finite differences of a scalar function of a vector."""
     x = np.asarray(x, dtype=np.float64)

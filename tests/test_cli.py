@@ -132,6 +132,26 @@ class TestEval:
         assert rc == 2
         assert "instance file is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,tamper", [
+        ("motifs", lambda doc: doc["motifs"][0].append(0)),
+        ("offsets", lambda doc: doc["offsets"][1].pop()),
+        ("optimum", lambda doc: doc["optimum"].__setitem__(0, 10 ** 20)),
+        ("'v'", lambda doc: doc["params"].__setitem__("v", "four")),
+        # truncates to the documented token, so only a type check catches it
+        ("optimum", lambda doc: doc["optimum"].__setitem__(0, doc["optimum"][0] + 0.9)),
+    ], ids=["ragged-motifs", "ragged-offsets", "huge-token", "string-param", "float-token"])
+    def test_malformed_instance_field_exit_2(self, instance_file, tmp_path, capsys,
+                                             field, tamper):
+        doc = json.loads(instance_file.read_text())
+        tamper(doc)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text("0,0,0,0,0,0,0,0\n")
+        rc = cli.main(["eval", "--instance", str(path), "--sequences", str(seqs)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+
     def test_scored_file_matches_reference_writer(self, instance_file, tmp_path, capsys):
         rows = np.random.default_rng(3).integers(0, 4, size=(50, 8))
         seqs = tmp_path / "seqs.txt"

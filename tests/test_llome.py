@@ -1,6 +1,9 @@
 """Bilevel loop: dataset formatting, refinement, filtering, and full runs."""
 
+import hashlib
+import json
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -205,6 +208,24 @@ class TestFormatDatasetMatchesReference:
         scored = random_scored(rng, 150, 6, [0, 1, 2, 3])
         for mode in ("pairs", "triples"):
             self.check(scored, mode, 0.5, 10)
+
+    @pytest.mark.parametrize("bound,dtype", [(None, np.float32), (64, np.float64)])
+    def test_key_dtype_follows_exactness_bound(self, rng, monkeypatch, bound, dtype):
+        # (L+1) * n = 560 keys fit float32 unless the bound is lowered.
+        if bound is not None:
+            monkeypatch.setattr(llome, "_FLOAT32_EXACT", bound)
+        seen = []
+
+        def spy(tokens, key_dtype):
+            seen.append(np.dtype(key_dtype))
+            return one_hot(tokens, key_dtype)
+
+        one_hot = llome._position_one_hot
+        monkeypatch.setattr(llome, "_position_one_hot", spy)
+        scored = random_scored(rng, 80, 6, [0, 1])  # v = 2: ties everywhere
+        for mode in ("pairs", "triples"):
+            self.check(scored, mode, 0.5, 10)
+        assert seen == [np.dtype(dtype)] * 2
 
     def test_all_rows_equal(self):
         scored = ScoredSet(np.full((6, 3), 5), np.array([0.1, 0.5, 0.5, -np.inf, 0.2, 1.0]))
@@ -631,3 +652,55 @@ class TestRunLlome:
         prop = baseline_mutation_proposer(0.05, 4, 16)
         result = run_llome(function, prop, config, pre)
         assert result.min_regret < pre.min_regret
+
+
+class _DatasetDigest:
+    """Wraps a proposer and hashes every training dataset it is given."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.hash = hashlib.sha256()
+
+    def propose(self, inputs, temperature, count, seed=0):
+        return self.inner.propose(inputs, temperature, count, seed=seed)
+
+    def train(self, dataset):
+        for rows in (dataset.pair_inputs, dataset.pair_targets, dataset.triple_inputs,
+                     dataset.triple_winners, dataset.triple_losers):
+            self.hash.update(repr(rows.shape).encode())
+            self.hash.update(np.ascontiguousarray(rows, dtype=np.int64).tobytes())
+        self.inner = self.inner.train(dataset)
+        return self
+
+
+class TestGoldenLoopDigests:
+    """Whole-loop outputs pinned to the values of the void-sort dedupe and
+    int64 k-NN keys. Ehr(32,32) rows need 160 bits, so that run takes the
+    dedupe's unpacked fallback. The baseline proposer trains on pairs only,
+    so pairs and triples share a loop digest; the dataset digest tells
+    the two modes apart."""
+
+    @pytest.mark.parametrize("name,mode,loop_digest,dataset_digest", [
+        ("Ehr(4,16)-2-2-2", "pairs",
+         "fd710b26f7dd471385b081304f7bc3bddd3f9a06616e6c5661d4f26ad3b647bc",
+         "c70ce950b92a8477913f07f5c1a1c354eaa2fadf7802234de3f84e3b8d27c7a3"),
+        ("Ehr(4,16)-2-2-2", "triples",
+         "fd710b26f7dd471385b081304f7bc3bddd3f9a06616e6c5661d4f26ad3b647bc",
+         "8295ac33cf39a639e0c97dfca5b115c3fe32f5fb03982e02f68cea75282e1f32"),
+        ("Ehr(32,32)-4-4-4", "pairs",
+         "26fbb1bbc4ae1964ced8ece60350a9bd18692f0fbc2ddbe45ff163cc8ee5c6f9",
+         "4bd9fee4f89ff12701fb00b5451306223467163bf7c879c0fc438947135184df"),
+    ])
+    def test_digests(self, name, mode, loop_digest, dataset_digest):
+        function = generate(EhrlichParams.from_name(name, seed=1))
+        config = LoopConfig(rounds=3, dataset_mode=mode)
+        presolved = run_presolver(function, GAConfig(num_particles=100),
+                                  config.presolver_rounds)
+        params = function.params
+        proposer = _DatasetDigest(
+            baseline_mutation_proposer(0.05, params.vocab_size, params.length))
+        result = run_llome(function, proposer, config, presolved)
+        payload = json.dumps({"rounds": [asdict(s) for s in result.rounds],
+                              "best": [result.best.tokens.tolist(), result.best.value]})
+        assert hashlib.sha256(payload.encode()).hexdigest() == loop_digest
+        assert proposer.hash.hexdigest() == dataset_digest
