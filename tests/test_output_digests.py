@@ -1,0 +1,81 @@
+"""Byte identity of the command-line outputs.
+
+Each test runs a small command and compares the sha256 of each file it
+writes with a pinned digest. A record's ``duration_seconds`` line is the
+only one left out, because it is a wall time. The digests were computed
+with the string writers that formatted each distinct value in its own
+Python call, so a writer change that moves any byte of a record, mirror,
+curve, ``rounds.json`` or scored sequence file fails here.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import ehrlich.cli as cli
+from ehrlich import EhrlichParams, generate, sample_dmp, serialize_instance
+
+
+def digest(path):
+    lines = path.read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if b"duration_seconds" not in line)
+    return hashlib.sha256(kept).hexdigest()
+
+
+def digests(directory, stem, suffixes):
+    return {suffix: digest(directory / f"{stem}{suffix}") for suffix in suffixes}
+
+
+RUN_GA = {
+    ".csv": "e4cd005316500981acea274420638c25fbba0fd0ff10dfd54ba0a11cdc926d9c",
+    ".json": "af174e54a1ef42c159fc53a93d6e8b4e653dcc48a040eeda4e34725647cf4002",
+    ".curve.csv": "b7b7eeaf43862629ddb12b92cba0e54dfd4e740b01ebb2a534df7d86ccd47d95",
+}
+
+RUN_LLOME = {
+    ".csv": "a29aed2a3ce72c4fa60f0194bb4988dcb1d3e7715d3395a48053afdb85eada92",
+    ".json": "e58a5defa9f4e08274a4bfd08f354fa3b7c0ad74d43b0168089a78ca5e0ea966",
+    ".curve.csv": "d254f3c02d2867267b5e1d1ecd77c5bc0b2fee3738aade34e0a9077be1be1101",
+    ".rounds.json": "0ce9b6bf399ee05b7e6a3b7237d81487ae186f9518de225db175bc982e9aba89",
+}
+
+EVAL = "5cbcd896a4d639524d7a191619a6015469aa5e3ac30f9b81d3173ea8f7dcfcf4"
+
+
+def test_run_ga_outputs(tmp_path, capsys):
+    # 20,001 rows: more than one 2**14-row block of the table writer
+    rc = cli.main(["run-ga", "--name", "Ehr(32,32)-4-4-4", "--instance-seed", "7",
+                   "--budget", "20001", "--no-early-stop", "--seed-list", "3",
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert digests(tmp_path, "ga-ehr-32-32-4-4-4-i7-s3", RUN_GA) == RUN_GA
+
+
+def test_run_llome_outputs(tmp_path, capsys):
+    rc = cli.main(["run-llome", "--name", "Ehr(4,16)-2-2-2", "--instance-seed", "1",
+                   "--rounds", "3", "--evals-per-round", "300", "--presolver-rounds", "3",
+                   "--seed-list", "5", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert digests(tmp_path, "llome-ehr-4-16-2-2-2-i1-s5", RUN_LLOME) == RUN_LLOME
+
+
+def test_eval_output(tmp_path, capsys):
+    # random rows (almost all infeasible), Markov-chain rows (feasible, with
+    # intermediate values) and the optimum (1.0)
+    function = generate(EhrlichParams.from_name("Ehr(32,32)-4-4-4", seed=7))
+    rng = np.random.default_rng(11)
+    tokens = np.concatenate([
+        rng.integers(0, 32, size=(3000, 32)),
+        np.stack([sample_dmp(function.transition, 32, seed) for seed in range(200)]),
+        function.optimum[None, :],
+    ])
+    instance = tmp_path / "instance.txt"
+    instance.write_text(serialize_instance(function))
+    sequences = tmp_path / "sequences.txt"
+    sequences.write_text("\n".join(",".join(map(str, row)) for row in tokens.tolist()) + "\n")
+    out = tmp_path / "scored.txt"
+    rc = cli.main(["eval", "--instance", str(instance), "--sequences", str(sequences),
+                   "--out", str(out)])
+    assert rc == 0
+    assert digest(out) == EVAL
