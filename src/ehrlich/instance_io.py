@@ -287,13 +287,14 @@ def _scan_error(text: str, length: int, vocab_size: int | None,
 def format_sequences(tokens: np.ndarray, scores: np.ndarray | None = None) -> str:
     """Render sequences (and optional scores) in the line format.
 
-    Each distinct token, and each distinct score (by ``repr``), is
-    formatted once, by the writer every table of the package uses.
+    The (N, L) token block goes to the writer every table of the package
+    uses as one 2-D int column; each distinct score is formatted once,
+    by ``repr``.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     require(tokens.ndim == 2 and tokens.shape[1] > 0,
             f"tokens must be an (N, L) array with L >= 1, got shape {tokens.shape}")
-    columns = list(tokens.T)
+    columns = [tokens]
     if scores is not None:
         scores = np.asarray(scores, dtype=np.float64)
         require(scores.shape == tokens.shape[:1],

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParseError, require
 from .losses import margin_reward
-from .tables import _text_blocks, format_table, read_table
+from .tables import _row_blocks, format_table, read_table
 
 RUN_RECORD_VERSION = 1
 REGRET_CURVE_VERSION = 1
@@ -256,10 +256,10 @@ class RunRecord:
         separator = ",\n      "
         for name, column in zip(_RUN_COLUMNS, self._columns()):
             parts.append(f'    "{name}": [\n      ')
-            for texts in _text_blocks(column, _json_number):
-                parts += [separator.join(texts), separator]
+            parts += _row_blocks([column], _json_number, separator, separator)
             # a column's trailing separator becomes its closing bracket
-            parts[-1] = "\n    ],\n"
+            parts[-1] = parts[-1][:-len(separator)]
+            parts.append("\n    ],\n")
         parts[-1] = "\n    ]\n  }\n}\n"
         return "".join(parts)
 
@@ -268,8 +268,8 @@ class RunRecord:
         return (self.eval_index, self.rounds, self.values, self.feasible, self.unique)
 
 
-def _json_number(x: int | float) -> str:
-    """``json.dumps(x)`` for a number, without its per-call overhead."""
+def _json_number(x: float) -> str:
+    """``json.dumps(x)`` for a float: its ``repr``, or ``Infinity`` and the like."""
     return repr(x) if math.isfinite(x) else json.dumps(x)
 
 

@@ -24,9 +24,33 @@ import numpy as np
 
 from .errors import ParseError
 
-# Rows per text block: small enough that a block's per-row strings stay well
-# below the text of a table of a few hundred thousand rows.
-_BLOCK_ROWS = 1 << 14
+# Cells per text block: few enough that a block's byte matrices stay in
+# cache and add next to nothing to the peak memory of a large table's text.
+_BLOCK_CELLS = 1 << 14
+
+# The byte cells are padded with: UTF-8 text never contains it, so deleting
+# it from a block's bytes never deletes content (NUL included).
+_PAD = b"\xff"
+
+
+def _digit_table() -> np.ndarray:
+    """The texts of 0..9999 as 4 bytes in one uint32 each: entries 0-9999
+    without leading zeros, padded on the left, and 10000-19999 zero-filled."""
+    numbers = np.arange(10_000, dtype=np.int32)[:, None]
+    place = 10 ** np.arange(3, -1, -1, dtype=np.int32)
+    digits = numbers // place % 10 + ord("0")
+    leading = np.where(numbers < place, _PAD[0], digits)
+    leading[0, -1] = ord("0")
+    return np.concatenate([leading, digits]).astype(np.uint8).view(np.uint32).ravel()
+
+
+# A number's lowest 4-digit group writes 0 as "0"; a higher group of 0 is
+# above the number's leading digit and writes nothing. A sign entry is
+# "-" or nothing.
+_NOTHING, _MINUS = np.frombuffer(_PAD * 4 + b"-" + _PAD * 3, np.uint32)
+_LOW_GROUP = _digit_table()
+_HIGH_GROUP = _LOW_GROUP.copy()
+_HIGH_GROUP[0] = _NOTHING
 
 
 def format_table(kind: str, version: int, columns: Mapping[str, Sequence],
@@ -38,61 +62,134 @@ def format_table(kind: str, version: int, columns: Mapping[str, Sequence],
     """
     head = [f"# {kind} v{version}",
             *(f"# {key}={value}" for key, value in (meta or {}).items()),
-            ",".join(columns)]
-    return "".join(["\n".join(head), "\n", *_row_parts(columns.values())])
+            ",".join(columns), ""]
+    return "".join(["\n".join(head), *_row_blocks(columns.values(), repr, ",", "\n")])
 
 
 def format_rows(columns: Iterable[Sequence]) -> str:
     """A table body: one comma-separated line, ending in a newline, per row.
 
-    Numbers are written as in :func:`format_table`; with no rows the body
-    is "".
+    Numbers are written as in :func:`format_table`; a 2-D column of shape
+    (N, k) is k adjacent columns. With no rows the body is "".
     """
-    return "".join(_row_parts(columns))
+    return "".join(_row_blocks(columns, repr, ",", "\n"))
 
 
-def _row_parts(columns: Iterable[Sequence]):
-    """The body's text in blocks of rows, for one join with what precedes it.
+def _row_blocks(columns: Iterable[Sequence], fmt, sep: str, end: str) -> list[str]:
+    """The text of ``columns``' rows in blocks of about ``_BLOCK_CELLS`` cells.
 
-    Joining the header and the blocks at once, not the header and a
-    joined body, spares a copy of the whole body.
+    Cells in a row are joined by ``sep`` and every row ends in ``end``.
+    Floats are written by ``fmt``, ints in decimal, bools as 0/1 and
+    strings as they are.
     """
-    blocks = (_text_blocks(_as_column(values), repr) for values in columns)
-    for texts in zip(*blocks):
-        yield "\n".join(map(",".join, zip(*texts)))
-        yield "\n"
+    columns = [_as_column(values) for values in columns]
+    if not columns or not len(columns[0]):
+        return []
+    step = max(1, _BLOCK_CELLS * len(columns[0]) // sum(column.size for column in columns))
+    return [_join_cells([_cells(column[start:start + step], fmt) for column in columns],
+                        sep, end)
+            for start in range(0, len(columns[0]), step)]
+
+
+def _encode(text: str) -> bytes:
+    return text.encode("utf-8", "surrogatepass")
 
 
 def _as_column(values: Sequence) -> np.ndarray:
-    """``values`` as a bool, int64, float64 or (for anything else) object array."""
+    """``values`` as a bool, int64, uint64, float64 or (strings) object array.
+
+    Strings are kept as the objects given: a numpy string array would drop
+    their trailing NULs.
+    """
     column = np.asarray(values)
-    wide = {"b": bool, "i": np.int64, "u": np.int64, "f": np.float64}.get(column.dtype.kind)
-    return column.astype(wide or object, copy=False)
+    if column.dtype.kind in "OSU":
+        return np.array(list(values), dtype=object)
+    wide = {"b": bool, "i": np.int64, "u": np.uint64, "f": np.float64}[column.dtype.kind]
+    return column.astype(wide, copy=False)
 
 
-def _text_blocks(column: np.ndarray, fmt):
-    """``_texts`` of ``column`` in blocks of ``_BLOCK_ROWS`` elements.
-
-    The writers join each block's texts as it comes, so no list of one
-    text per row of the whole table is ever built.
-    """
-    for start in range(0, column.shape[0], _BLOCK_ROWS):
-        yield _texts(column[start:start + _BLOCK_ROWS], fmt)
-
-
-def _texts(column: np.ndarray, fmt) -> list[str]:
-    """``fmt`` of every number, bools as 0/1; strings as they are.
-
-    A numeric column calls ``fmt`` once per distinct 64-bit pattern, not
-    per value, so -0.0 and 0.0 keep their own text.
-    """
-    if column.dtype == object:
-        return column.tolist()
+def _cells(column: np.ndarray, fmt) -> np.ndarray:
+    """The (n, k, w) uint8 texts of an (n,) or (n, k) column, padded to a
+    common width w with ``_PAD``."""
+    column = column.reshape(len(column), -1)
     if column.dtype == bool:
-        column = column.astype(np.int64)
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(fmt, bits.view(column.dtype).tolist())), dtype=object)
-    return texts[inverse].tolist()
+        return (column.view(np.uint8) + ord("0"))[:, :, None]
+    if column.dtype.kind in "iu":
+        return _int_cells(column)
+    if column.dtype == object:
+        distinct: dict[str, int] = {}
+        inverse = np.fromiter((distinct.setdefault(text, len(distinct))
+                               for text in column.ravel().tolist()), np.intp, column.size)
+        texts = list(distinct)
+    else:
+        # one fmt call per distinct 64-bit pattern, so -0.0 and 0.0 keep their own text
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        texts = map(fmt, bits.view(column.dtype).tolist())
+    table = _text_table([_encode(text) for text in texts])
+    # each text as one void item, so the gather moves whole cells
+    cells = np.take(table.view(f"V{table.shape[1]}").ravel(), inverse.reshape(column.shape))
+    return cells.view(np.uint8).reshape(column.shape + (-1,))
+
+
+def _int_cells(column: np.ndarray) -> np.ndarray:
+    """Decimal texts of an (n, k) int64 or uint64 block, four digits per
+    table entry.
+
+    Magnitudes are taken as uint64, where the int64 minimum's negation is
+    its magnitude.
+    """
+    magnitude = column.astype(np.uint64)
+    negative = column < 0
+    sign = bool(negative.any())
+    if sign:
+        np.negative(magnitude, out=magnitude, where=negative)
+    largest = int(magnitude.max(initial=0))
+    groups = max(1, -(-len(str(largest)) // 4))
+    if largest < 2**32:
+        magnitude = magnitude.astype(np.uint32)
+    base = magnitude.dtype.type(10_000)
+    cells = np.empty(column.shape + (sign + groups,), np.uint32)
+    if sign:
+        cells[:, :, 0] = np.where(negative, _MINUS, _NOTHING)
+    rest = magnitude
+    for group in range(groups):
+        high = rest // base
+        entry = rest - high * base
+        entry += base * (high > 0)
+        np.take(_HIGH_GROUP if group else _LOW_GROUP, entry,
+                out=cells[:, :, sign + groups - 1 - group])
+        rest = high
+    return cells.view(np.uint8)
+
+
+def _text_table(texts: list[bytes]) -> np.ndarray:
+    """(len(texts), w) uint8: each text left-aligned and padded with ``_PAD``."""
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    table = np.full((len(texts), int(lengths.max(initial=1))), _PAD[0], np.uint8)
+    table[np.arange(table.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(texts), np.uint8)
+    return table
+
+
+def _join_cells(cells: list[np.ndarray], sep: str, end: str) -> str:
+    """One block's text: each row's cells joined by ``sep``, ended by ``end``.
+
+    One concatenate lays the cells and separators out row by row, and one
+    pass over the bytes drops the padding.
+    """
+    rows = cells[0].shape[0]
+
+    def repeated(text: str) -> np.ndarray:
+        data = np.frombuffer(_encode(text), np.uint8)
+        return np.broadcast_to(data, (rows, data.size))
+
+    sep_column = repeated(sep)
+    pieces = []
+    for block in cells:
+        for k in range(block.shape[1]):
+            pieces += [block[:, k], sep_column]
+    pieces[-1] = repeated(end)
+    data = np.concatenate(pieces, axis=1).tobytes().translate(None, _PAD)
+    return data.decode("utf-8", "surrogatepass")
 
 
 def read_table(path: str | Path, kind: str, version: int, dtype: np.dtype,
