@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError, require
+from .instance_io import read_text
 from .losses import margin_reward
 from .tables import _row_blocks, format_table, read_table
 
@@ -175,7 +176,19 @@ class RunRecord:
     duration_seconds: float
 
     def __post_init__(self) -> None:
+        for name in ("run_id", "instance_name", "solver", "config_hash"):
+            text = getattr(self, name)
+            require(isinstance(text, str), f"{name} must be a string, got {type(text).__name__}")
+            # a metadata line holds one line, and its reader strips the value
+            require("\n" not in text and "\r" not in text,
+                    f"{name} must not contain a line break, got {text!r}")
+            require(text == text.strip(),
+                    f"{name} must not start or end with whitespace, got {text!r}")
         require(bool(self.run_id), "run_id must be nonempty")
+        # the run_id names the record's files, inside their directory
+        require("/" not in self.run_id and "\0" not in self.run_id
+                and not self.run_id.startswith("."),
+                f"run_id must not contain '/' or NUL or start with '.', got {self.run_id!r}")
         object.__setattr__(self, "eval_index", np.asarray(self.eval_index, dtype=np.int64))
         object.__setattr__(self, "rounds", np.asarray(self.rounds, dtype=np.int64))
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -344,27 +357,75 @@ def _meta_number(meta: dict[str, str], key: str, convert):
 
 
 def read_run_record_json(path: str | Path) -> RunRecord:
-    payload = json.loads(Path(path).read_text())
+    """Parse the JSON mirror written by :func:`write_run_record`.
+
+    A file that is not UTF-8 JSON, a missing field and a field of the
+    wrong type are ParseErrors; rows a RunRecord rejects are
+    InvalidParamsErrors, as from :func:`read_run_record`.
+    """
+    try:
+        payload = json.loads(read_text(path, "run-record JSON"))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"run-record JSON is malformed: {path} ({exc})") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"run-record JSON must hold an object, got {type(payload).__name__}")
     if payload.get("format") != "run-record":
         raise ParseError(f"not a run-record JSON file: format={payload.get('format')!r}")
     if payload.get("version") != RUN_RECORD_VERSION:
         raise ParseError(
             f"unsupported run-record version {payload.get('version')!r}"
         )
-    evals = payload["evals"]
+    fields = {key: _json_field(payload, key, kind) for key, kind in (
+        ("run_id", str), ("instance", str), ("instance_seed", int), ("solver", str),
+        ("config_hash", str), ("duration_seconds", (int, float)), ("evals", dict))}
+    evals = {name: _json_column(fields["evals"], name, kinds) for name, kinds in (
+        ("eval_index", "i"), ("round", "i"), ("value", "if"), ("feasible", "ib"),
+        ("unique", "ib"))}
+    try:
+        duration = float(fields["duration_seconds"])
+    except OverflowError:
+        raise ParseError("run-record JSON field 'duration_seconds' is out of range") from None
     return RunRecord(
-        run_id=payload["run_id"],
-        instance_name=payload["instance"],
-        instance_seed=int(payload["instance_seed"]),
-        solver=payload["solver"],
-        config_hash=payload["config_hash"],
-        eval_index=np.asarray(evals["eval_index"], dtype=np.int64),
-        rounds=np.asarray(evals["round"], dtype=np.int64),
-        values=np.asarray(evals["value"], dtype=np.float64),
-        feasible=np.asarray(evals["feasible"], dtype=bool),
-        unique=np.asarray(evals["unique"], dtype=bool),
-        duration_seconds=float(payload["duration_seconds"]),
+        run_id=fields["run_id"],
+        instance_name=fields["instance"],
+        instance_seed=fields["instance_seed"],
+        solver=fields["solver"],
+        config_hash=fields["config_hash"],
+        eval_index=evals["eval_index"],
+        rounds=evals["round"],
+        values=evals["value"],
+        feasible=evals["feasible"],
+        unique=evals["unique"],
+        duration_seconds=duration,
     )
+
+
+def _json_field(payload: dict, key: str, kind):
+    """``payload[key]``, which must be an instance of ``kind`` (a bool is
+    not a number); anything else is a ParseError."""
+    if key not in payload:
+        raise ParseError(f"run-record JSON is missing field {key!r}")
+    value = payload[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"run-record JSON field {key!r} has the wrong type: "
+                         f"{type(value).__name__}")
+    return value
+
+
+def _json_column(evals: dict, name: str, kinds: str) -> np.ndarray:
+    """``evals[name]`` as a 1-D array whose dtype kind is in ``kinds``
+    (an int beyond int64 makes a list uint64, float or object); anything
+    else is a ParseError."""
+    if name not in evals:
+        raise ParseError(f"run-record JSON evals are missing {name!r}")
+    try:
+        column = np.asarray(evals[name])
+    except ValueError:
+        column = None  # a ragged list
+    if column is None or column.ndim != 1 or (column.size and column.dtype.kind not in kinds):
+        what = "numbers" if "f" in kinds else "integers"
+        raise ParseError(f"run-record JSON evals {name!r} must be a flat list of {what}")
+    return column
 
 
 def write_run_record(record: RunRecord, directory: str | Path) -> Path:

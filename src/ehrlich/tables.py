@@ -9,6 +9,15 @@ also writes sequence files), and :func:`read_table` reads one back,
 parsing the body with ``np.loadtxt``; comment and empty lines in the
 body are skipped. :func:`is_table` tells a table's kind from its first
 line. Both read UTF-8; any other bytes are a ParseError.
+
+The writer builds text in blocks of rows, and as bytes. Each column of a
+block becomes a uint8 matrix of fixed-width cells, padded with a byte
+UTF-8 never uses: ints through a table of 4-digit groups, bools as
+"0"/"1", and floats and strings through a table of their distinct texts
+(a float's ``fmt`` is called once per distinct 64-bit pattern). One
+concatenate lays the cells and separators out row by row, and one
+``bytes.translate`` drops the padding. The run record's JSON mirror is
+written by the same code, with JSON's number text for floats.
 """
 
 from __future__ import annotations

@@ -1,22 +1,32 @@
-"""Property-based checks of the scoring and construction invariants."""
+"""Property-based checks of the scoring, construction and writer invariants."""
+
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 import oracles
 from ehrlich import (
+    EhrlichError,
     EhrlichParams,
+    ParetoReport,
+    RunRecord,
     evaluate,
     generate,
     is_feasible,
     motif_score,
     parse_instance,
+    read_run_record_json,
     sample_dmp,
     serialize_instance,
 )
 from ehrlich import rng as ehrlich_rng
+from ehrlich import tables
+from ehrlich.instance_io import format_sequences
 from ehrlich.kernels import feasible_rows
 from ehrlich.llome import LoopConfig, ScoredSet, iterative_refinement
+from test_records import oracle_csv, oracle_json
 
 # Keep generation-heavy properties cheap: tiny alphabets, short sequences.
 small_seed = st.integers(min_value=0, max_value=2**32 - 1)
@@ -215,3 +225,126 @@ def test_refinement_dedupe_matches_void_sort(case):
     assert out.logliks.tobytes() == logliks[winner].tobytes()
     assert np.array_equal(out.seed_indices, seed_ids[winner])
     assert out.seed_values.tobytes() == values[seed_ids[winner]].tobytes()
+
+
+# --- table writer against the per-row reference writers ----------------------
+
+# values whose repr or JSON text is long, short, signed, subnormal or inexact
+_VALUES = [-np.inf, -0.0, 0.0, 5e-324, 1e-300, 1e16, 0.1 + 0.2, 2.0 / 3.0]
+# a few cells per block, so most examples straddle block joins
+_SMALL_BLOCKS = st.integers(1, 12)
+
+
+def _ascending(draw, start, gap, size):
+    """``size`` values from ``start`` with drawn gaps, cut where they pass int64."""
+    values = [draw(start)]
+    for _ in range(size - 1):
+        values.append(values[-1] + draw(gap))
+    return [v for v in values if v <= _INT64.max]
+
+
+@st.composite
+def run_record(draw):
+    size = draw(st.integers(1, 30))
+    eval_index = _ascending(draw, st.integers(1, 3), st.one_of(st.integers(1, 3),
+                                                               st.integers(1, 2 ** 62)), size)
+    size = len(eval_index)
+    rounds = _ascending(draw, st.integers(0, 2 ** 40), st.one_of(st.integers(0, 2),
+                                                                 st.integers(0, 2 ** 40)), size)
+    values = np.array(draw(st.lists(st.sampled_from(_VALUES), min_size=size, max_size=size)))
+    return RunRecord(
+        run_id=draw(st.sampled_from(["r", 'run "é"', "a\\b"])),
+        instance_name="Ehr(4,8)-2-2-2", instance_seed=draw(st.integers(-2 ** 63, 2 ** 63 - 1)),
+        solver="ga", config_hash="0" * 12, eval_index=eval_index, rounds=rounds,
+        values=values, feasible=~np.isneginf(values),
+        unique=draw(st.lists(st.booleans(), min_size=size, max_size=size)),
+        duration_seconds=draw(st.sampled_from([0.0, 5e-324, 1e16, 0.1 + 0.2])),
+    )
+
+
+@given(run_record(), _SMALL_BLOCKS)
+@settings(max_examples=300, deadline=None)
+def test_record_writers_match_per_row_references(record, block):
+    with mock.patch.object(tables, "_BLOCK_CELLS", block):
+        assert record.to_csv() == oracle_csv(record)
+        assert record.to_json() == oracle_json(record)
+
+
+_TOKENS = st.one_of(st.integers(-3, 40), st.sampled_from([_INT64.min, _INT64.max, -1]),
+                    st.integers(_INT64.min, _INT64.max))
+
+
+@given(st.integers(1, 5), st.integers(0, 12), _SMALL_BLOCKS, st.data())
+@settings(max_examples=300, deadline=None)
+def test_sequence_writer_matches_per_row_reference(length, rows, block, data):
+    tokens = np.array(data.draw(st.lists(st.lists(_TOKENS, min_size=length, max_size=length),
+                                         min_size=rows, max_size=rows)),
+                      dtype=np.int64).reshape(rows, length)
+    scores = data.draw(st.one_of(st.none(), st.lists(st.sampled_from(_VALUES),
+                                                     min_size=rows, max_size=rows)))
+    if scores is not None:
+        scores = np.array(scores)
+    with mock.patch.object(tables, "_BLOCK_CELLS", block):
+        assert format_sequences(tokens, scores) == oracles.format_sequences(tokens, scores)
+
+
+# labels keep every character a table field may hold: non-ASCII and NUL too
+_LABELS = st.text(alphabet="ab=é\0 ", min_size=1, max_size=5)
+
+
+@given(st.lists(st.tuples(_LABELS, st.sampled_from([v for v in _VALUES if v > 0]),
+                          st.sampled_from([v for v in _VALUES if v >= 0] + [np.inf])),
+                min_size=1, max_size=12),
+       _SMALL_BLOCKS)
+@example([("a\0", 1e16, 0.0), ("é", 2.0 / 3.0, np.inf)], 1)
+@settings(max_examples=200, deadline=None)
+def test_pareto_writer_matches_per_row_reference(points, block):
+    report = ParetoReport.from_arrays(*zip(*points))
+    with mock.patch.object(tables, "_BLOCK_CELLS", block):
+        assert report.to_csv() == oracles.pareto_csv(report)
+
+
+# --- the JSON mirror reader under byte mutations ----------------------------
+
+_JSON_BYTES = st.sampled_from(list(b'{}[]",:0123456789-+.eE tnfalsruIN\\\n') + [0, 0x80, 0xC3, 0xFF])
+
+
+@pytest.fixture(scope="module")
+def mirror(tmp_path_factory):
+    """A valid mirror's bytes, and a path to write mutated copies to."""
+    values = np.array([-np.inf, 0.5, 0.5, 1.0])
+    record = RunRecord(run_id="r", instance_name="Ehr(4,8)-2-2-2", instance_seed=3,
+                       solver="ga", config_hash="0" * 12, eval_index=[1, 2, 3, 4],
+                       rounds=[0, 1, 1, 2], values=values, feasible=~np.isneginf(values),
+                       unique=[True, True, False, True], duration_seconds=0.5)
+    return record.to_json().encode(), tmp_path_factory.mktemp("mirror") / "mutated.json"
+
+
+@st.composite
+def mutations(draw, data):
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["replace", "delete", "insert", "truncate"]))
+        if kind == "replace" and at < len(data):
+            data[at] = draw(_JSON_BYTES)
+        elif kind == "delete":
+            del data[at:at + draw(st.integers(1, 8))]
+        elif kind == "insert":
+            data[at:at] = bytes(draw(st.lists(_JSON_BYTES, min_size=1, max_size=8)))
+        else:
+            del data[at:]
+    return bytes(data)
+
+
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_mutated_mirror_raises_only_package_errors(mirror, data):
+    valid, path = mirror
+    path.write_bytes(data.draw(mutations(valid)))
+    try:
+        read_run_record_json(path)
+    except EhrlichError as exc:
+        event(type(exc).__name__)
+    else:
+        event("read")

@@ -354,6 +354,86 @@ class TestRunRecordValidation:
         assert record.min_regret == float("inf")
 
 
+def record_with(**fields):
+    """A valid two-row record with the given metadata fields replaced."""
+    metadata = dict(run_id="r", instance_name="Ehr(4,8)-2-2-2", solver="ga",
+                    config_hash="0" * 12)
+    metadata.update(fields)
+    return RunRecord(**metadata, instance_seed=3, eval_index=[1, 2], rounds=[0, 0],
+                     values=[-np.inf, 0.5], feasible=[False, True], unique=[True, True],
+                     duration_seconds=0.0)
+
+
+class TestRunRecordStringMetadata:
+    """String metadata a record file could not hold, or that would name a
+    file outside the record directory, is refused when the record is built."""
+
+    @pytest.mark.parametrize("field", ["run_id", "instance_name", "solver", "config_hash"])
+    @pytest.mark.parametrize("text", ["a\nb", "a\rb", "ab\n"], ids=["LF", "CR", "trailing-LF"])
+    def test_line_break(self, field, text):
+        with pytest.raises(InvalidParamsError, match=f"{field} must not contain a line break"):
+            record_with(**{field: text})
+
+    @pytest.mark.parametrize("field", ["run_id", "instance_name", "solver", "config_hash"])
+    @pytest.mark.parametrize("text", [" padded ", " lead", "trail\t"], ids=["both", "lead", "tab"])
+    def test_surrounding_whitespace(self, field, text):
+        with pytest.raises(InvalidParamsError, match=f"{field} must not start or end"):
+            record_with(**{field: text})
+
+    @pytest.mark.parametrize("run_id", ["../escaped", "sub/x", "/abs"])
+    def test_run_id_with_a_slash(self, run_id):
+        with pytest.raises(InvalidParamsError, match="run_id must not contain '/'"):
+            record_with(run_id=run_id)
+
+    def test_run_id_with_nul(self):
+        with pytest.raises(InvalidParamsError, match="run_id must not contain"):
+            record_with(run_id="a\0b")
+
+    @pytest.mark.parametrize("run_id", [".hidden", "..", "."])
+    def test_run_id_with_a_leading_dot(self, run_id):
+        with pytest.raises(InvalidParamsError, match="start with '.'"):
+            record_with(run_id=run_id)
+
+    def test_non_string_field(self):
+        with pytest.raises(InvalidParamsError, match="solver must be a string"):
+            record_with(solver=5)
+
+    def test_inner_space_dot_and_non_ascii_are_kept(self, tmp_path):
+        record = record_with(run_id="run é.v2 x", instance_name="a b", solver="g\0a")
+        path = write_run_record(record, tmp_path)
+        assert path.name == "run é.v2 x.csv"
+        back = read_run_record(path)
+        assert (back.run_id, back.instance_name, back.solver) == ("run é.v2 x", "a b", "g\0a")
+
+
+class TestReadRunRecordJson:
+    """Each malformed mirror is a ParseError, not a raw decode, key or type error."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data[:len(data) // 2], "malformed"),
+        (lambda data: data.replace(b'"evals"', b'"other"'), "missing field 'evals'"),
+        (lambda data: data.replace(b"Ehr(4,8)", b"Ehr\xff(4,8)"), "not UTF-8"),
+        (lambda data: data.replace(b'"instance_seed": 3', b'"instance_seed": "x"'),
+         "'instance_seed' has the wrong type"),
+        (lambda data: b"[]", "must hold an object"),
+        (lambda data: data.replace(b'"round": [', b'"round": [[1], '), "'round' must be a flat"),
+        (lambda data: data.replace(b'"eval_index": [\n      1', b'"eval_index": [\n      1.5'),
+         "'eval_index' must be a flat list of integers"),
+        (lambda data: data.replace(b'"unique"', b'"uniq"'), "evals are missing 'unique'"),
+        (lambda data: data.replace(b'"duration_seconds": 0.5',
+                                   b'"duration_seconds": ' + b"9" * 400),
+         "'duration_seconds' is out of range"),
+    ], ids=["truncated", "no-evals", "non-utf8", "string-seed", "top-level-list",
+            "ragged-column", "float-index", "missing-column", "huge-duration"])
+    def test_malformed_mirror(self, tmp_path, edit, message):
+        path = write_run_record(small_record([0.5, -np.inf]), tmp_path).with_suffix(".json")
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(edit(path.read_bytes()))
+        assert bad.read_bytes() != path.read_bytes()
+        with pytest.raises(ParseError, match=message):
+            read_run_record_json(bad)
+
+
 class TestRunRecordPersistence:
     def test_csv_round_trip_is_exact(self, tmp_path):
         record = small_record([0.5, -np.inf, 2.0 / 3.0], rounds=np.array([0, 1, 1]))
