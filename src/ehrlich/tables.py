@@ -37,8 +37,8 @@ from .errors import ParseError
 # cache and add next to nothing to the peak memory of a large table's text.
 _BLOCK_CELLS = 1 << 14
 
-# The byte cells are padded with: UTF-8 text never contains it, so deleting
-# it from a block's bytes never deletes content (NUL included).
+# The byte that pads cells. UTF-8 text never contains it, so deleting it
+# from a block's bytes never deletes content (NUL included).
 _PAD = b"\xff"
 
 
@@ -172,7 +172,8 @@ def _int_cells(column: np.ndarray) -> np.ndarray:
 
 
 def _text_table(texts: list[bytes]) -> np.ndarray:
-    """(len(texts), w) uint8: each text left-aligned and padded with ``_PAD``."""
+    """(len(texts), w) uint8: each text left-aligned and padded with ``_PAD``
+    to the longest text's width (at least 1, the size of a void item)."""
     lengths = np.fromiter(map(len, texts), np.intp, len(texts))
     table = np.full((len(texts), int(lengths.max(initial=1))), _PAD[0], np.uint8)
     table[np.arange(table.shape[1]) < lengths[:, None]] = np.frombuffer(b"".join(texts), np.uint8)
