@@ -52,6 +52,7 @@ from .records import (
     ParetoReport,
     RegretCurve,
     RoundSummary,
+    RunRecord,
     make_run_record,
     read_run_record,
     round_summaries,
@@ -79,10 +80,10 @@ def _slug(name: str) -> str:
 
 
 def _out_dir(args) -> Path:
-    if getattr(args, "out_dir", None):
-        return Path(args.out_dir)
-    env = os.environ.get(ENV_OUT_DIR)
-    return Path(env) if env else Path(".")
+    path = Path(getattr(args, "out_dir", None) or os.environ.get(ENV_OUT_DIR) or ".")
+    if path.exists() and not path.is_dir():
+        raise InvalidParamsError(f"output path is not a directory: {path}")
+    return path
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -261,29 +262,36 @@ def cmd_eval(args) -> int:
 
 # --- run-ga ---------------------------------------------------------------
 
+def _ledger_record(ledger: EvalLedger, run_id: str, solver: str, config: dict,
+                   duration: float, presolver_calls: int = 1) -> RunRecord:
+    """A run's record from the one ledger of its oracle calls: the first
+    ``presolver_calls`` batches are round 0, and each later batch is its own round."""
+    rounds = ledger.call_rounds()
+    np.maximum(rounds - (presolver_calls - 1), 0, out=rounds)
+    return make_run_record(run_id, ledger.params.name, ledger.params.seed, solver, config,
+                           values=ledger.values(), rounds=rounds, duration_seconds=duration,
+                           unique=ledger.unique())
+
+
+def _write_run(record: RunRecord, out_dir: Path) -> Path:
+    """Write the record, its JSON mirror and its regret curve; return the CSV path."""
+    csv_path = write_run_record(record, out_dir)
+    csv_path.with_suffix(".curve.csv").write_text(RegretCurve.from_record(record).to_csv())
+    return csv_path
+
+
 def _execute_ga_run(function, args, seed: int, budget: int, out_dir: Path,
-                    run_id: str):
+                    run_id: str) -> RunRecord:
     ledger = EvalLedger(function)
     config = _ga_config(args, seed)
     start = time.perf_counter()
     run_ga(ledger, config, budget=budget,
            stop_on_optimum=not getattr(args, "no_early_stop", False))
     duration = time.perf_counter() - start
-    record = make_run_record(
-        run_id=run_id,
-        instance_name=function.params.name,
-        instance_seed=function.params.seed,
-        solver="ga",
-        config=dict(dataclasses.asdict(config), budget=budget),
-        values=ledger.values(),
-        rounds=ledger.call_rounds(),
-        duration_seconds=duration,
-        unique=ledger.unique(),
-    )
+    record = _ledger_record(ledger, run_id, "ga", dict(dataclasses.asdict(config), budget=budget),
+                            duration)
     del ledger  # its rows and seen-row set are not needed to write the record
-    csv_path = write_run_record(record, out_dir)
-    curve = RegretCurve.from_record(record)
-    csv_path.with_suffix(".curve.csv").write_text(curve.to_csv())
+    _write_run(record, out_dir)
     return record
 
 
@@ -336,44 +344,22 @@ def cmd_run_llome(args) -> int:
         proposer = baseline_mutation_proposer(
             args.mutation_rate, function.params.vocab_size, function.params.length
         )
-        # The presolver keeps everything it scored; the ledger records the loop.
+        # One ledger records the presolver's batches, all round 0, then
+        # the loop's, which scores exactly one batch per round.
         ledger = EvalLedger(function)
         start = time.perf_counter()
-        presolved = run_presolver(function, ga_config, config.presolver_rounds)
+        presolved = run_presolver(ledger, ga_config, config.presolver_rounds)
+        presolver_calls = ledger.num_calls
         result = run_llome(ledger, proposer, config, presolved)
         duration = time.perf_counter() - start
-        tokens = np.concatenate([presolved.scored.tokens, ledger.tokens()])
-        values = np.concatenate([presolved.scored.values, ledger.values()])
-        rounds = np.concatenate(
-            [np.zeros(presolved.evals_used, dtype=np.int64)]
-            + [np.full(stats.oracle_calls, stats.round_index, dtype=np.int64)
-               for stats in result.rounds]
-        )
-        if rounds.shape[0] != values.shape[0]:
-            raise GenerationError(
-                f"evaluation accounting mismatch: {rounds.shape[0]} labeled "
-                f"vs {values.shape[0]} recorded"
-            )
         run_id = f"llome-{slug}-i{function.params.seed}-s{seed}"
-        record = make_run_record(
-            run_id=run_id,
-            instance_name=function.params.name,
-            instance_seed=function.params.seed,
-            solver="llome-baseline",
-            config=dict(
-                dataclasses.asdict(config),
-                presolver_particles=args.presolver_particles,
-                mutation_rate=args.mutation_rate,
-            ),
-            tokens=tokens,
-            values=values,
-            rounds=rounds,
-            duration_seconds=duration,
-        )
-        csv_path = write_run_record(record, out_dir)
-        csv_path.with_suffix(".curve.csv").write_text(
-            RegretCurve.from_record(record).to_csv()
-        )
+        record = _ledger_record(ledger, run_id, "llome-baseline", dict(
+            dataclasses.asdict(config),
+            presolver_particles=args.presolver_particles,
+            mutation_rate=args.mutation_rate,
+        ), duration, presolver_calls)
+        del ledger
+        csv_path = _write_run(record, out_dir)
         stats_payload = {
             "format": "round-stats",
             "version": 1,
@@ -637,7 +623,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
     except (GeneratorCollapseError, GenerationError, ConvergenceError) as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
@@ -653,6 +641,11 @@ def main(argv=None) -> int:
     except EhrlichError as exc:  # pragma: no cover - safety net
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except BrokenPipeError:
+        # stdout was closed (``| head``): the rest of the output is unwanted,
+        # and pointing stdout at devnull keeps the interpreter's final flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -52,22 +52,20 @@ def config_hash(config: Mapping) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def unique_flags(tokens: np.ndarray) -> np.ndarray:
-    """True at each row's first occurrence within the array."""
-    tokens = np.asarray(tokens)
-    require(tokens.ndim == 2, f"tokens must be 2-D, got shape {tokens.shape}")
-    return _first_occurrences(tokens, set())
-
-
-def _first_occurrences(rows: np.ndarray, seen: set[bytes]) -> np.ndarray:
-    """True where a row's bytes are not yet in ``seen``; adds every row's bytes.
+def unique_flags(tokens: np.ndarray, seen: set[bytes] | None = None) -> np.ndarray:
+    """True at each row's first occurrence in the array, and not among the
+    row bytes already in ``seen``, to which every row's bytes are added.
 
     The one uniqueness rule: rows are equal when their bytes are, so one
-    ``seen`` set must only ever see rows of one dtype.
+    ``seen`` set must only ever see rows of one dtype. Batches streamed
+    through one ``seen`` get the flags of their concatenation.
     """
-    width = rows.shape[1] * rows.itemsize
-    keys = (np.ascontiguousarray(rows).view(f"V{width}").ravel().tolist() if width
-            else [b""] * rows.shape[0])
+    tokens = np.asarray(tokens)
+    require(tokens.ndim == 2, f"tokens must be 2-D, got shape {tokens.shape}")
+    seen = set() if seen is None else seen
+    width = tokens.shape[1] * tokens.itemsize
+    keys = (np.ascontiguousarray(tokens).view(f"V{width}").ravel().tolist() if width
+            else [b""] * tokens.shape[0])
     flags = np.zeros(len(keys), dtype=bool)
     for i, key in enumerate(keys):
         if key not in seen:
@@ -84,9 +82,12 @@ class EvalLedger:
     ``evaluate_batch``), so it can stand in for the function itself.
     A batch the wrapped function rejects is not recorded.
 
-    Rows are kept in the narrowest unsigned dtype that holds every token
-    (uint8 when v <= 256, else uint16), and each batch's first-occurrence
-    flags are computed as it arrives, against the rows recorded before it.
+    A run's record is built from its one ledger: values, first-occurrence
+    flags and per-batch round labels all come from here. Rows are kept in
+    the narrowest unsigned dtype that holds every token (uint8 when
+    v <= 256, else uint16), and each batch's flags are streamed through
+    :func:`unique_flags` as it arrives, against one set of the rows
+    recorded before it.
     """
 
     def __init__(self, function):
@@ -112,7 +113,7 @@ class EvalLedger:
         values = self._function.evaluate_batch(tokens)
         # the function has range-checked every token, so the narrow copy is exact
         rows = np.asarray(tokens, dtype=np.int64).astype(self._dtype)
-        self._unique.append(_first_occurrences(rows, self._seen))
+        self._unique.append(unique_flags(rows, self._seen))
         self._tokens.append(rows)
         self._values.append(np.array(values, dtype=np.float64))
         return values

@@ -1,6 +1,10 @@
 """End-to-end command-line harness behavior, driven through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +13,13 @@ import ehrlich.cli as cli
 import oracles
 from ehrlich import (
     GeneratorCollapseError,
+    make_run_record,
     read_instance,
     read_pareto_report,
     read_regret_curve,
     read_run_record,
     round_summaries,
+    write_run_record,
 )
 
 INSTANCE = "Ehr(4,8)-2-2-2"
@@ -225,6 +231,16 @@ class TestRunGa:
         assert rc == 0
         assert (tmp_path / "ga-ehr-4-8-2-2-2-i0-s0.csv").exists()
 
+    def test_out_dir_naming_a_file_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "taken"
+        target.write_text("not a directory\n")
+        rc = cli.main(run_ga_args(target, seeds="1"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"output path is not a directory: {target}" in err
+        assert "refusing to overwrite" not in err
+        assert target.read_text() == "not a directory\n"
+
     def test_instance_file_input(self, instance_file, tmp_path, capsys):
         rc = cli.main(["run-ga", "--instance", str(instance_file),
                        "--budget", "100", "--particles", "50",
@@ -405,6 +421,28 @@ class TestReport:
         rc = cli.main(["report", "--records", str(bad)])
         assert rc == 2
         assert "run record is not UTF-8 text" in capsys.readouterr().err
+
+    def test_closed_stdout_exits_quietly(self, tmp_path):
+        # one report line per round: far more than a pipe buffer holds
+        n = 10_000
+        record = make_run_record("many-rounds", INSTANCE, 0, "ga", {},
+                                 values=np.linspace(0.0, 1.0, n), rounds=np.arange(n),
+                                 duration_seconds=0.0, unique=np.ones(n, dtype=bool))
+        path = write_run_record(record, tmp_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from ehrlich.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "report", "--records", str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()  # as ``| head -1`` does after its line
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0, err.decode()
+        assert first.startswith(b"run many-rounds:")
+        assert err == b""
 
     @pytest.mark.parametrize("key,value", [("duration_seconds", "fast"),
                                            ("instance_seed", "1.5")])

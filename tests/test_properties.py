@@ -20,6 +20,7 @@ from ehrlich import (
     read_run_record_json,
     sample_dmp,
     serialize_instance,
+    unique_flags,
 )
 from ehrlich import rng as ehrlich_rng
 from ehrlich import tables
@@ -260,6 +261,34 @@ def run_record(draw):
         unique=draw(st.lists(st.booleans(), min_size=size, max_size=size)),
         duration_seconds=draw(st.sampled_from([0.0, 5e-324, 1e16, 0.1 + 0.2])),
     )
+
+
+@st.composite
+def split_rows(draw):
+    """A (N, L) row block of a ledger or caller dtype, with few distinct
+    values so rows repeat, and sorted cut points that split it into parts."""
+    dtype = np.dtype(draw(st.sampled_from([np.uint8, np.uint16, np.int64])))
+    info = np.iinfo(dtype)
+    width, n = draw(st.integers(0, 4)), draw(st.integers(0, 30))
+    cells = draw(st.lists(st.sampled_from(sorted({0, 1, int(info.min), int(info.max)})),
+                          min_size=n * width, max_size=n * width))
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=5)))
+    return np.array(cells, dtype=dtype).reshape(n, width), cuts
+
+
+@given(split_rows())
+@example((np.zeros((3, 0), dtype=np.uint8), [1, 1]))
+@settings(max_examples=300, deadline=None)
+def test_unique_flags_streamed_through_one_seen_equal_the_whole(case):
+    rows, cuts = case
+    seen = set()
+    streamed = [unique_flags(part, seen) for part in np.split(rows, cuts)]
+    flags = np.concatenate(streamed)
+    assert flags.dtype == bool
+    assert np.array_equal(flags, unique_flags(rows))
+    earlier = [tuple(row) for row in rows.tolist()]
+    assert flags.tolist() == [row not in earlier[:i] for i, row in enumerate(earlier)]
+    assert len(seen) == int(flags.sum())
 
 
 @given(run_record(), _SMALL_BLOCKS)
