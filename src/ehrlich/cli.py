@@ -5,7 +5,8 @@ function as a text document, ``eval`` scores a sequence file against
 one, ``run-ga`` and ``run-llome`` execute the solvers and persist
 per-evaluation run records, ``sweep`` scans one instance axis with the
 evolutionary baseline, ``report`` rebuilds round-level diagnostics from
-stored records, and ``bench`` times the scoring backends.
+stored records, and ``bench`` times the scoring kernel on a uniform-random
+batch.
 
 Exit codes: 0 on success, 2 for invalid input (bad parameters, malformed
 files, missing paths), 3 when a solver aborts mid-run. Output files go
@@ -44,7 +45,6 @@ from .instance_io import (
     read_text,
     serialize_instance,
 )
-from .kernels import available_backends
 from .llome import LoopConfig, run_llome, run_presolver
 from .proposers import baseline_mutation_proposer
 from .records import (
@@ -496,6 +496,10 @@ def cmd_report(args) -> int:
 # --- bench ----------------------------------------------------------------
 
 def cmd_bench(args) -> int:
+    for flag, value, low in (("--batch", args.batch, 1), ("--repeats", args.repeats, 1),
+                             ("--bench-seed", args.bench_seed, 0)):
+        if value < low:
+            raise InvalidParamsError(f"{flag} must be >= {low}, got {value}")
     function = _function_from_args(args)
     rng = np.random.default_rng(args.bench_seed)
     tokens = rng.integers(
@@ -504,25 +508,16 @@ def cmd_bench(args) -> int:
     )
     print(f"instance {function.params.name} (seed {function.params.seed}), "
           f"batch {args.batch} x {args.repeats} repeats")
-    results = []
-    for backend in available_backends():
-        function.evaluate_batch(tokens[: min(64, args.batch)], backend=backend)  # warm-up
-        start = time.perf_counter()
-        for _ in range(args.repeats):
-            function.evaluate_batch(tokens, backend=backend)
-        elapsed = time.perf_counter() - start
-        rate = args.batch * args.repeats / elapsed
-        results.append((backend, rate))
-        print(f"  {backend:>6}: {rate:,.0f} seq/s")
-    if len(results) == 2:
-        fast = max(results, key=lambda r: r[1])
-        slow = min(results, key=lambda r: r[1])
-        if slow[1] > 0:
-            print(f"  {fast[0]} is {fast[1] / slow[1]:.1f}x faster than {slow[0]}")
+    function.evaluate_batch(tokens[:64])  # warm-up
+    start = time.perf_counter()
+    for _ in range(args.repeats):
+        function.evaluate_batch(tokens)
+    rate = args.batch * args.repeats / (time.perf_counter() - start)
+    print(f"   numpy: {rate:,.0f} seq/s")
     if args.out:
         Path(args.out).write_text(format_table("bench", 1, {
-            "backend": [backend for backend, _ in results],
-            "seqs_per_sec": [rate for _, rate in results],
+            "backend": ["numpy"],
+            "seqs_per_sec": [rate],
         }))
     return EXIT_OK
 
@@ -607,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="FILE", help="also write CSV (+ JSON mirror)")
     p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("bench", help="time the scoring backends")
+    p = sub.add_parser("bench", help="time the scoring kernel")
     _add_instance_args(p)
     p.add_argument("--batch", type=int, default=10000)
     p.add_argument("--repeats", type=int, default=5)

@@ -241,8 +241,8 @@ class EhrlichFunction:
     def evaluate(self, tokens: np.ndarray) -> float:
         return evaluate(self, tokens)
 
-    def evaluate_batch(self, tokens: np.ndarray, backend: str | None = None) -> np.ndarray:
-        return evaluate_batch(self, tokens, backend=backend)
+    def evaluate_batch(self, tokens: np.ndarray) -> np.ndarray:
+        return evaluate_batch(self, tokens)
 
     def regret(self, tokens: np.ndarray) -> float:
         return regret(self, tokens)
@@ -464,7 +464,7 @@ def is_feasible(tokens: np.ndarray, transition: TransitionMatrix) -> bool:
     Raises ``InvalidParamsError`` for a token outside [0, v).
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    _require_tokens_in_range(tokens, transition.mask.shape[0])
+    require_tokens_in_range(tokens, transition.mask.shape[0])
     return bool(feasible_rows(tokens[None, :], transition.mask)[0])
 
 
@@ -514,21 +514,19 @@ def evaluate(function: EhrlichFunction, tokens) -> float:
     return float(evaluate_batch(function, np.asarray(tokens)[None, :])[0])
 
 
-def evaluate_batch(
-    function: EhrlichFunction, tokens: np.ndarray, backend: str | None = None
-) -> np.ndarray:
-    """f over an (N, L) token array; the only entry into the scoring kernels.
+def evaluate_batch(function: EhrlichFunction, tokens: np.ndarray) -> np.ndarray:
+    """f over an (N, L) token array; the only entry into the scoring kernel.
 
     Raises ``InvalidParamsError`` unless the batch has shape (N, L) and
-    every token lies in [0, v). The kernels index the transition mask
-    with tokens and assume this check has been made.
+    every token lies in [0, v). The kernel indexes the transition mask
+    with tokens and assumes this check has been made.
     """
     params = function.params
     tokens = np.ascontiguousarray(tokens, dtype=np.int64)
     require(tokens.ndim == 2 and tokens.shape[1] == params.length,
             f"batch must have shape (N, {params.length}) for sequence length "
             f"{params.length}, got {tokens.shape}")
-    _require_tokens_in_range(tokens, params.vocab_size)
+    require_tokens_in_range(tokens, params.vocab_size)
     return score_batch(
         tokens,
         function.transition.mask,
@@ -537,14 +535,13 @@ def evaluate_batch(
         params.motif_length // params.quantization,
         params.quantization,
         float(params.epistasis_factor),
-        backend=backend,
     )
 
 
-def _require_tokens_in_range(tokens: np.ndarray, vocab_size: int) -> None:
+def require_tokens_in_range(tokens: np.ndarray, vocab_size: int) -> None:
     """The one token range check: every token lies in [0, vocab_size).
 
-    The kernels and the feasibility helper index the transition mask with
+    The kernel and the feasibility helper index the transition mask with
     tokens, so a negative token would wrap and one >= v would overflow.
     """
     if tokens.size:

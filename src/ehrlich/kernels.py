@@ -1,85 +1,29 @@
-"""Batch scoring kernels with selectable backends.
-
-Two implementations of the hot path (feasibility check plus quantized
-motif scoring over all window starts) are provided: a numba ``@njit``
-kernel and a pure-numpy fallback. The active backend is chosen by the
-``EHRLICH_BACKEND`` environment variable (``numba`` or ``numpy``); by
-default numba is used when importable. Both backends perform the same
-floating-point operations in the same order, so results are
-bit-identical.
+"""The batch scoring kernel: feasibility check plus quantized motif
+scoring over all window starts, in numpy.
 
 Values are float64: the product of per-motif responses for feasible
 sequences, ``-inf`` for infeasible ones.
 
-The kernels assume validated input: an (N, L) int64 batch with every
+The kernel assumes validated input: an (N, L) int64 batch with every
 token in [0, v). ``function.evaluate_batch`` is the only validating
 entry; it raises ``InvalidParamsError`` for a bad shape or a token
-outside [0, v). Called directly on unchecked tokens, the numpy kernel's
-narrowing cast wraps them and the numba kernel reads out of bounds.
+outside [0, v). Called directly on unchecked tokens, the kernel's
+narrowing cast wraps them.
 
-The numpy kernel narrows internally: it casts the batch once to the
-smallest unsigned dtype that holds v - 1 (the dtype ``EvalLedger``
-stores), transposes it to (L, N) so that each shifted comparison is one
+The kernel narrows internally: it casts the batch once to the smallest
+unsigned dtype that holds v - 1 (the dtype ``EvalLedger`` stores),
+transposes it to (L, N) so that each shifted comparison is one
 contiguous block, finds the feasible rows with ``feasible_rows`` and
 scores only those, counting matches in the smallest dtype that holds k
 (uint8 when k <= 255). Each row's response g(h) is looked up in a table
 computed with the per-row float ops for every count 0..k, so every
-feasible row is still 1.0 times the same responses in the same motif
-order as in the numba kernel.
+feasible row is 1.0 times the same responses in the same motif order
+as the per-row loop the tests keep as the reference.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-from .errors import InvalidParamsError
-
-ENV_BACKEND = "EHRLICH_BACKEND"
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-
-def _score_batch_py(tokens, mask, motifs, offsets, divisor, q, a):
-    num_seqs, length = tokens.shape
-    num_motifs, motif_len = motifs.shape
-    out = np.empty(num_seqs, dtype=np.float64)
-    for n in range(num_seqs):
-        # The feasibility rule of ``feasible_rows``, inlined for the compiled kernel.
-        feasible = True
-        for pos in range(1, length):
-            if not mask[tokens[n, pos - 1], tokens[n, pos]]:
-                feasible = False
-                break
-        if not feasible:
-            out[n] = -np.inf
-            continue
-        value = 1.0
-        for i in range(num_motifs):
-            best = 0
-            for start in range(length):
-                matched = 0
-                for j in range(motif_len):
-                    pos = start + offsets[i, j]
-                    if pos < length and tokens[n, pos] == motifs[i, j]:
-                        matched += 1
-                if matched > best:
-                    best = matched
-            h = (best // divisor) / q
-            value *= a * h * h * h - a * h * h + h
-        out[n] = value
-    return out
-
-
-if HAVE_NUMBA:
-    _score_batch_numba = numba.njit(cache=True)(_score_batch_py)
 
 
 # Transitions looked up at once by ``feasible_rows``. numpy gathers through
@@ -115,9 +59,9 @@ def feasible_rows(tokens, mask):
     return feasible
 
 
-def score_batch_numpy(tokens, mask, motifs, offsets, divisor, q, a):
-    """Pure-numpy batch scorer; see module docstring for the contract
-    and the layout it scores in."""
+def score_batch(tokens, mask, motifs, offsets, divisor, q, a):
+    """Score an (N, L) token batch; see the module docstring for the
+    contract and the layout it scores in."""
     num_seqs, length = tokens.shape
     num_motifs, motif_len = motifs.shape
     token_dtype = np.min_scalar_type(mask.shape[0] - 1)
@@ -147,41 +91,6 @@ def score_batch_numpy(tokens, mask, motifs, offsets, divisor, q, a):
     return values
 
 
-def score_batch_numba(tokens, mask, motifs, offsets, divisor, q, a):
-    """Numba batch scorer; compiled on first call, cached on disk."""
-    if not HAVE_NUMBA:
-        raise InvalidParamsError("numba backend requested but numba is not importable")
-    return _score_batch_numba(tokens, mask, motifs, offsets, divisor, q, a)
-
-
-_BACKENDS = {
-    "numpy": score_batch_numpy,
-    "numba": score_batch_numba,
-}
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numba", "numpy") if HAVE_NUMBA else ("numpy",)
-
-
 def active_backend() -> str:
-    """Resolve the backend from ``EHRLICH_BACKEND`` (default: numba if present);
-    an unknown name, or numba when it is not importable, is ``InvalidParamsError``."""
-    choice = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if choice == "":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice not in _BACKENDS:
-        raise InvalidParamsError(
-            f"{ENV_BACKEND} must be 'numba' or 'numpy', got {choice!r}"
-        )
-    if choice == "numba" and not HAVE_NUMBA:
-        raise InvalidParamsError(f"{ENV_BACKEND}=numba but numba is not importable")
-    return choice
-
-
-def score_batch(tokens, mask, motifs, offsets, divisor, q, a, backend=None):
-    """Score a (N, L) token batch, dispatching to the active backend."""
-    name = backend if backend is not None else active_backend()
-    if name not in _BACKENDS:
-        raise InvalidParamsError(f"backend must be 'numba' or 'numpy', got {name!r}")
-    return _BACKENDS[name](tokens, mask, motifs, offsets, divisor, q, a)
+    """The name of the one scoring kernel, which benchmark reports record."""
+    return "numpy"

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import GeneratorCollapseError, require
-from .function import ScoredSequence, regret_of_value
+from .function import ScoredSequence, regret_of_value, require_tokens_in_range
 from .ga import GAConfig, run_ga
 from .kernels import feasible_rows
 from .losses import margin_reward
@@ -107,6 +107,8 @@ class LoopConfig:
                 f"dataset_mode must be 'pairs' or 'triples', got {self.dataset_mode!r}")
         require(0.0 <= self.distance_threshold <= 1.0,
                 f"distance_threshold must be in [0, 1], got {self.distance_threshold}")
+        require(0 <= int(self.seed) <= 2**64 - 1,
+                f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     def log_likelihood_floor(self, length: int) -> float:
         if self.likelihood_floor is None:
@@ -447,9 +449,12 @@ def filter_candidates(candidates: CandidateSet, mask: np.ndarray, j: int,
     Keeps candidates with log-likelihood strictly above the floor, caps
     the infeasible count at floor(feasible * p/(1-p)) by seeded uniform
     subsampling, then uniformly subsamples to at most j. Output
-    preserves the candidate order (ascending original index).
+    preserves the candidate order (ascending original index). Raises
+    ``InvalidParamsError`` when a candidate token lies outside [0, v),
+    v being the mask's size.
     """
     require(j >= 1, f"j must be >= 1, got {j}")
+    require_tokens_in_range(candidates.tokens, mask.shape[0])
     keep = np.flatnonzero(candidates.logliks > log_p_min)
     if keep.size == 0:
         return candidates.take(keep)

@@ -57,6 +57,43 @@ def exact_product(tokens, motifs, offsets, q: int, a=0) -> Fraction:
     return value
 
 
+def score_batch_by_loops(tokens, mask, motifs, offsets, divisor, q, a):
+    """``kernels.score_batch`` as per-row loops, in float64.
+
+    The reference for the kernel's float-operation order: each feasible
+    row is 1.0 times g(h) per motif, in motif order, with g computed by
+    the same expression, so the kernel must agree bit for bit.
+    """
+    num_seqs, length = tokens.shape
+    num_motifs, motif_len = motifs.shape
+    out = np.empty(num_seqs, dtype=np.float64)
+    for n in range(num_seqs):
+        # the feasibility rule of ``feasible_rows``, inlined
+        feasible = True
+        for pos in range(1, length):
+            if not mask[tokens[n, pos - 1], tokens[n, pos]]:
+                feasible = False
+                break
+        if not feasible:
+            out[n] = -np.inf
+            continue
+        value = 1.0
+        for i in range(num_motifs):
+            best = 0
+            for start in range(length):
+                matched = 0
+                for j in range(motif_len):
+                    pos = start + offsets[i, j]
+                    if pos < length and tokens[n, pos] == motifs[i, j]:
+                        matched += 1
+                if matched > best:
+                    best = matched
+            h = (best // divisor) / q
+            value *= a * h * h * h - a * h * h + h
+        out[n] = value
+    return out
+
+
 def hamming_fraction(x, y) -> Fraction:
     assert len(x) == len(y)
     mismatches = sum(int(a) != int(b) for a, b in zip(x, y))

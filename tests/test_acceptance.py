@@ -12,7 +12,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 import fixtures
 import oracles
@@ -65,12 +64,6 @@ def criterion(name: str, budget_seconds: float):
             f"{name}: runtime {elapsed:.2f}s exceeds the {budget_seconds:g}s budget"
         )
     print(f"[PASS] {name} ({elapsed:.2f}s)")
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels(inst_32_32):
-    # compile the scoring kernel once so no criterion pays JIT cost
-    inst_32_32.evaluate_batch(np.zeros((2, 32), dtype=np.int64))
 
 
 def test_01_worked_example_reproduction():

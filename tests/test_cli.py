@@ -97,15 +97,6 @@ class TestEval:
         assert rc == 2
         assert "not found" in capsys.readouterr().err
 
-    def test_unknown_backend_exit_2(self, instance_file, tmp_path, capsys, monkeypatch):
-        seqs = tmp_path / "seqs.txt"
-        seqs.write_text("0,0,0,0,0,0,0,0\n")
-        monkeypatch.setenv("EHRLICH_BACKEND", "cuda")
-        rc = cli.main(["eval", "--instance", str(instance_file),
-                       "--sequences", str(seqs)])
-        assert rc == 2
-        assert "EHRLICH_BACKEND" in capsys.readouterr().err
-
     def test_appends_score_column(self, instance_file, tmp_path, capsys):
         seqs = tmp_path / "seqs.txt"
         seqs.write_text("0,0,0,0,0,0,0,0\n")
@@ -465,11 +456,19 @@ class TestBench:
                        "--repeats", "1", "--out", str(out)])
         assert rc == 0
         text = out.read_text().splitlines()
-        assert text[0] == "# bench v1"
-        backends = {line.split(",")[0] for line in text[2:]}
-        assert "numpy" in backends
+        assert text[:2] == ["# bench v1", "backend,seqs_per_sec"]
+        assert [line.split(",")[0] for line in text[2:]] == ["numpy"]
         printed = capsys.readouterr().out
-        assert "seq/s" in printed
+        assert "seq/s" in printed and "faster" not in printed
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--batch", "0"), ("--batch", "-1"), ("--repeats", "0"), ("--bench-seed", "-1"),
+    ])
+    def test_out_of_range_arguments_exit_2(self, flag, value, capsys):
+        rc = cli.main(["bench", "--name", INSTANCE, flag, value])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and "seq/s" not in captured.out
 
 
 class TestParserSurface:

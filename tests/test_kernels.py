@@ -1,85 +1,12 @@
-"""Backend selection and bit-identical agreement between scorers."""
+"""The scoring kernel against its per-row loop reference, and the
+feasibility lookup."""
 
 import numpy as np
 import pytest
 
 import oracles
-from ehrlich import EhrlichParams, InvalidParamsError, evaluate_batch, generate, kernels
-from ehrlich.kernels import (
-    ENV_BACKEND,
-    HAVE_NUMBA,
-    _score_batch_py,
-    active_backend,
-    available_backends,
-    feasible_rows,
-    score_batch,
-    score_batch_numpy,
-)
-
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba not importable")
-
-
-def test_available_backends():
-    assert "numpy" in available_backends()
-    if HAVE_NUMBA:
-        assert available_backends() == ("numba", "numpy")
-
-
-def test_active_backend_env_override(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv(ENV_BACKEND, "NumPy")
-    assert active_backend() == "numpy"
-    monkeypatch.delenv(ENV_BACKEND)
-    assert active_backend() in available_backends()
-
-
-def test_active_backend_rejects_unknown(monkeypatch):
-    monkeypatch.setenv(ENV_BACKEND, "cuda")
-    with pytest.raises(ValueError, match="EHRLICH_BACKEND"):
-        active_backend()
-
-
-def test_score_batch_rejects_unknown_backend(inst_4_16):
-    batch = inst_4_16.optimum.reshape(1, -1)
-    with pytest.raises(ValueError, match="backend"):
-        evaluate_batch(inst_4_16, batch, backend="bogus")
-
-
-@pytest.mark.skipif(HAVE_NUMBA, reason="numba is importable")
-def test_missing_numba_is_invalid_params(inst_4_16, monkeypatch):
-    batch = inst_4_16.optimum.reshape(1, -1)
-    with pytest.raises(InvalidParamsError, match="numba"):
-        evaluate_batch(inst_4_16, batch, backend="numba")
-    monkeypatch.setenv(ENV_BACKEND, "numba")
-    with pytest.raises(InvalidParamsError, match="EHRLICH_BACKEND"):
-        active_backend()
-
-
-@needs_numba
-@pytest.mark.parametrize("name", ["Ehr(4,16)-2-2-2", "Ehr(8,32)-4-4-2", "Ehr(32,32)-4-4-4"])
-def test_backends_bit_identical(name, rng):
-    f = generate(EhrlichParams.from_name(name, seed=13))
-    v, L = f.params.vocab_size, f.params.length
-    batch = rng.integers(0, v, size=(512, L))
-    batch[0] = f.optimum
-    got_numba = evaluate_batch(f, batch, backend="numba")
-    got_numpy = evaluate_batch(f, batch, backend="numpy")
-    # Bit-identical, including -inf placement: same ops, same order.
-    assert np.array_equal(got_numba, got_numpy)
-
-
-@needs_numba
-def test_backends_identical_with_epistasis(rng):
-    f = generate(
-        EhrlichParams(vocab_size=8, length=24, num_motifs=2, motif_length=4,
-                      quantization=4, epistasis_factor=2.5, seed=2)
-    )
-    batch = rng.integers(0, 8, size=(256, 24))
-    assert np.array_equal(
-        evaluate_batch(f, batch, backend="numba"),
-        evaluate_batch(f, batch, backend="numpy"),
-    )
+from ehrlich import kernels
+from ehrlich.kernels import feasible_rows, score_batch
 
 
 def _kernel_case(rng, v, length, num_motifs, motif_len, max_offset, density, rows):
@@ -116,14 +43,12 @@ KERNEL_CASES = {
 
 @pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
 def test_numpy_kernel_bit_identical_to_python_source(case):
-    # The numba backend compiles ``_score_batch_py``; comparing the numpy
-    # kernel with it uncompiled checks the cross-backend contract without numba.
     v, length, c, k, q, a, max_offset, density, rows = case
     tokens, mask, motifs, offsets = _kernel_case(
         np.random.default_rng(v * length + k), v, length, c, k, max_offset, density, rows)
     args = (mask, motifs, offsets, k // q, q, a)
-    expected = _score_batch_py(tokens, *args)
-    got = score_batch_numpy(tokens, *args)
+    expected = oracles.score_batch_by_loops(tokens, *args)
+    got = score_batch(tokens, *args)
     assert got.dtype == np.float64 and got.shape == (rows,)
     assert np.array_equal(got, expected)
     feasible = expected > -np.inf
@@ -155,7 +80,7 @@ def test_numpy_kernel_handles_offsets_past_length(inst_4_16):
     tokens = np.zeros((3, 4), dtype=np.int64)
     motifs = np.array([[0, 0]])
     offsets = np.array([[0, 9]])
-    values = score_batch_numpy(tokens, mask, motifs, offsets, 2, 1, 0.0)
+    values = score_batch(tokens, mask, motifs, offsets, 2, 1, 0.0)
     # Best window matches only the in-range first element: 1 // 2 = 0.
     assert np.array_equal(values, np.zeros(3))
 

@@ -273,6 +273,14 @@ class TestAdjustTemperatures:
             adjust_temperatures(self.BASE, 1.5)
 
 
+class TestLoopConfig:
+    def test_seed_is_a_64_bit_unsigned_integer(self):
+        for bad in (-1, 2 ** 64):
+            with pytest.raises(InvalidParamsError, match="seed"):
+                LoopConfig(seed=bad)
+        assert LoopConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
 SMALL = LoopConfig(rounds=2, evals_per_round=300, presolver_rounds=3,
                    seeds_per_round=20, refine_iters=4, samples_per_iter=3,
                    base_temperatures=(0.8, 1.2), seed=13)
@@ -492,6 +500,16 @@ class TestFilterCandidates:
         it = iter(list(lls))
         assert all(any(x == y for y in it) for x in kept)
 
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_rejects_out_of_range_tokens(self, feasible_and_infeasible, bad):
+        # -1 must not wrap to another mask entry and v must not index past it
+        mask, feasible, _ = feasible_and_infeasible
+        tokens = np.tile(feasible, (3, 1))
+        tokens[1, -1] = bad
+        cands = make_candidates(tokens, np.zeros(3))
+        with pytest.raises(InvalidParamsError, match=r"tokens must lie in \[0, 4\)"):
+            filter_candidates(cands, mask, 10, log_p_min=-10.0, p_max_infeas=0.25, seed=0)
+
     def test_deterministic(self, feasible_and_infeasible, rng):
         mask, feasible, infeasible = feasible_and_infeasible
         tokens = np.concatenate([np.tile(feasible, (50, 1)), np.tile(infeasible, (50, 1))])
@@ -548,6 +566,26 @@ class _InfeasibleProposer:
         batch = np.atleast_2d(inputs).shape[0]
         proposals = np.tile(self.tokens, (batch, count, 1))
         return proposals, np.zeros((batch, count))
+
+    def score_likelihood(self, inputs, outputs, temperature=1.0):
+        return np.zeros(np.atleast_2d(inputs).shape[0])
+
+    def train(self, dataset):
+        return self
+
+
+class _LastTokenProposer:
+    """Mutation proposals with the last token of every row overwritten."""
+
+    def __init__(self, inner, token):
+        self.inner = inner
+        self.token = token
+
+    def propose(self, inputs, temperature, count, seed=0):
+        proposals, logliks = self.inner.propose(inputs, temperature, count, seed=seed)
+        proposals = proposals.copy()
+        proposals[..., -1] = self.token
+        return proposals, logliks
 
     def score_likelihood(self, inputs, outputs, temperature=1.0):
         return np.zeros(np.atleast_2d(inputs).shape[0])
@@ -637,6 +675,15 @@ class TestRunLlome:
         config = LoopConfig(rounds=1, max_infeasible_fraction=0.0, seed=0)
         with pytest.raises(GeneratorCollapseError, match="filtering removed"):
             run_llome(inst_4_16, _InfeasibleProposer(tokens), config, presolved)
+
+    def test_generator_token_out_of_range_is_invalid_params(self):
+        function = generate(EhrlichParams.from_name("Ehr(4,16)-2-2-2", seed=1))
+        pre = run_presolver(function, GAConfig(num_particles=50, seed=0), presolver_rounds=2)
+        config = LoopConfig(rounds=1, evals_per_round=100, seeds_per_round=10,
+                            refine_iters=2, samples_per_iter=2, seed=0)
+        proposer = _LastTokenProposer(baseline_mutation_proposer(0.05, 4, 16), 4)
+        with pytest.raises(InvalidParamsError, match=r"tokens must lie in \[0, 4\)"):
+            run_llome(function, proposer, config, pre)
 
     def test_improves_over_weak_presolver(self):
         # Instance seed 1 resists a tiny evolution budget (the optimum's

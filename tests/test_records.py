@@ -586,7 +586,6 @@ class TestTableBytes:
     def test_bench(self, tmp_path, monkeypatch, capsys):
         # two timer reads 3 s apart around 2 sequences: a rate of 2/3 per second
         monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=iter([0.0, 3.0]).__next__))
-        monkeypatch.setattr(cli, "available_backends", lambda: ("numpy",))
         out = tmp_path / "bench.csv"
         rc = cli.main(["bench", "--name", "Ehr(4,8)-2-2-2", "--batch", "2",
                        "--repeats", "1", "--out", str(out)])
