@@ -36,7 +36,7 @@ from .errors import (
     InvalidParamsError,
     ParseError,
 )
-from .function import EhrlichParams, generate
+from .function import EhrlichParams, generate, regret_of_value
 from .ga import GAConfig, run_ga
 from .instance_io import (
     format_sequences,
@@ -249,12 +249,10 @@ def cmd_eval(args) -> int:
         Path(args.out).write_text(scored)
     else:
         sys.stdout.write(scored)
-    feasible = values[~np.isneginf(values)]
-    best = float(feasible.max()) if feasible.size else float("-inf")
-    regret = "inf" if best == float("-inf") else f"{1.0 - best:g}"
+    best = float(values.max())
     print(
         f"scored {tokens.shape[0]} sequences on {function.params.name}: "
-        f"best={best:g} min_regret={regret}",
+        f"best={best:g} min_regret={regret_of_value(best):g}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -463,12 +461,11 @@ def cmd_report(args) -> int:
     rows = []
     for path in paths:
         record = read_run_record(path)
-        curve = RegretCurve.from_record(record)
         print(
             f"run {record.run_id}: solver={record.solver} "
             f"instance={record.instance_name} (seed {record.instance_seed}) "
             f"evals={record.num_evals} duration={record.duration_seconds:.3f}s "
-            f"final_regret={curve.final_regret:g}"
+            f"final_regret={record.min_regret:g}"
         )
         print(f"  {'round':>5} {'evals':>6} {'unique%':>8} {'feasible%':>9} "
               f"{'mean_margin':>11} {'max_margin':>10} {'min_regret':>10}")

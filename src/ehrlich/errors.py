@@ -8,6 +8,8 @@ exit 3.
 
 from __future__ import annotations
 
+import numbers
+
 
 class EhrlichError(Exception):
     """Base class for all package errors."""
@@ -41,3 +43,17 @@ def require(condition: bool, message: str) -> None:
     """Raise ``InvalidParamsError(message)`` unless ``condition`` holds."""
     if not condition:
         raise InvalidParamsError(message)
+
+
+def require_integers(**values) -> None:
+    """Raise ``InvalidParamsError`` unless each value is a Python or numpy
+    integer; ``bool``, ``16.0`` and ``"16"`` are not."""
+    for name, value in values.items():
+        require(isinstance(value, numbers.Integral) and not isinstance(value, bool),
+                f"{name} must be an integer, got {value!r}")
+
+
+def require_seed(seed) -> None:
+    """Raise ``InvalidParamsError`` unless ``seed`` is an integer in [0, 2**64 - 1]."""
+    require_integers(seed=seed)
+    require(0 <= seed <= 2**64 - 1, f"seed must be a 64-bit unsigned integer, got {seed}")

@@ -20,7 +20,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import rng
-from .errors import ConstructionError, GenerationError, InvalidParamsError, require
+from .errors import (ConstructionError, GenerationError, InvalidParamsError, require,
+                     require_integers, require_seed)
 from .kernels import feasible_rows, score_batch
 
 NAME_PATTERN = re.compile(r"^Ehr\((\d+),(\d+)\)-(\d+)-(\d+)-(\d+)$")
@@ -55,6 +56,7 @@ class EhrlichParams:
     def __post_init__(self) -> None:
         v, L = self.vocab_size, self.length
         c, k, q = self.num_motifs, self.motif_length, self.quantization
+        require_integers(vocab_size=v, length=L, num_motifs=c, motif_length=k, quantization=q)
         require(v >= 2, f"vocab_size must be >= 2, got {v}")
         require(v <= 1024, f"vocab_size must be <= 1024, got {v}")
         require(L >= 2, f"length must be >= 2, got {L}")
@@ -71,7 +73,7 @@ class EhrlichParams:
         b = feasible_count(v, ff)
         require(b >= 2, f"feasible_fraction {ff} yields per-row feasible count {b} < 2")
         require(b <= v - 1, f"feasible_fraction {ff} yields per-row feasible count {b} = vocab_size (no infeasible transition)")
-        require(0 <= int(self.seed) <= 2**64 - 1, f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        require_seed(self.seed)
 
     @property
     def name(self) -> str:
@@ -553,6 +555,17 @@ def require_tokens_in_range(tokens: np.ndarray, vocab_size: int) -> None:
 def regret(function: EhrlichFunction, tokens) -> float:
     """Simple regret 1 - f(x); +inf for infeasible sequences."""
     return regret_of_value(evaluate(function, tokens))
+
+
+def incumbent_of(tokens: np.ndarray, values: np.ndarray,
+                 incumbent: ScoredSequence | None = None) -> ScoredSequence:
+    """Both solvers' best-so-far rule: the batch's first best row if it beats
+    ``incumbent`` strictly (or there is none), else ``incumbent``. Folded over
+    batches, it keeps the first best row seen, row 0 if all are -inf."""
+    best = int(np.argmax(values))
+    if incumbent is not None and not values[best] > incumbent.value:
+        return incumbent
+    return ScoredSequence(tokens=tokens[best].copy(), value=float(values[best]))
 
 
 def regret_of_value(value) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import require
-from .function import ScoredSequence
+from .errors import require, require_integers, require_seed
+from .function import ScoredSequence, incumbent_of
 
 PHASE_MUTATE = 0
 PHASE_RECOMBINE = 1
@@ -36,6 +36,7 @@ class GAConfig:
     def __post_init__(self) -> None:
         n = self.num_particles
         alpha = self.survival_quantile
+        require_integers(num_particles=n)
         require(n >= 2, f"num_particles must be >= 2, got {n}")
         require(alpha < 1, f"survival_quantile must be < 1, got {alpha}")
         require(alpha * n >= 2,
@@ -44,8 +45,7 @@ class GAConfig:
                 f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
         require(0.0 <= self.recombination_prob <= 1.0,
                 f"recombination_prob must be in [0, 1], got {self.recombination_prob}")
-        require(0 <= int(self.seed) <= 2**64 - 1,
-                f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -59,14 +59,15 @@ class GAState:
     history: tuple = field(default_factory=tuple)
 
 
-def mutate(sequences, mutation_prob: float, n_per: int, vocab_size: int,
+def mutate(sequences, mutation_prob, n_per: int, vocab_size: int,
            seed: rng.SeedLike) -> np.ndarray:
-    """Emit n_per variants per input sequence.
+    """Emit n_per variants per input sequence, each input's in a row.
 
     Each position is independently replaced with probability
-    mutation_prob by a uniform draw over [0, vocab_size); the draw may
-    equal the original token, so the realized change rate is
-    mutation_prob * (1 - 1/vocab_size).
+    mutation_prob (a scalar, or one per position as an (L,) array) by a
+    uniform draw over [0, vocab_size); the draw may equal the original
+    token, so the realized change rate is mutation_prob * (1 - 1/vocab_size).
+    Both solvers draw their substitutions here.
     """
     sequences = np.atleast_2d(np.asarray(sequences, dtype=np.int64))
     gen = rng.substream(seed)
@@ -104,8 +105,8 @@ def survival_threshold(values: np.ndarray, survival_quantile: float) -> float:
 
 def init_ga(function, config: GAConfig) -> GAState:
     """Score the instance's starting sequence and spawn the population from it."""
-    x0 = function.initial_solution()
-    value = float(function.evaluate_batch(x0.reshape(1, -1))[0])
+    x0 = function.initial_solution().reshape(1, -1)
+    incumbent = incumbent_of(x0, function.evaluate_batch(x0))
     population = mutate(
         x0,
         config.mutation_prob,
@@ -115,7 +116,7 @@ def init_ga(function, config: GAConfig) -> GAState:
     )
     return GAState(
         population=population,
-        incumbent=ScoredSequence(tokens=x0, value=value),
+        incumbent=incumbent,
         evals_used=1,
         step=0,
     )
@@ -124,13 +125,7 @@ def init_ga(function, config: GAConfig) -> GAState:
 def ga_step(state: GAState, function, config: GAConfig) -> GAState:
     values = function.evaluate_batch(state.population)
     evals_used = state.evals_used + values.shape[0]
-
-    incumbent = state.incumbent
-    best = int(np.argmax(values))
-    if values[best] > incumbent.value:
-        incumbent = ScoredSequence(
-            tokens=state.population[best].copy(), value=float(values[best])
-        )
+    incumbent = incumbent_of(state.population, values, state.incumbent)
 
     step = state.step + 1
     tau = survival_threshold(values, config.survival_quantile)

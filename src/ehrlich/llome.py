@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import GeneratorCollapseError, require
-from .function import ScoredSequence, regret_of_value, require_tokens_in_range
+from .errors import GeneratorCollapseError, require, require_integers, require_seed
+from .function import ScoredSequence, incumbent_of, regret_of_value, require_tokens_in_range
 from .ga import GAConfig, run_ga
 from .kernels import feasible_rows
 from .losses import margin_reward
@@ -74,6 +74,21 @@ class RefinementDataset:
         return self.triple_inputs.shape[0]
 
 
+def _require_counts(**counts) -> None:
+    require_integers(**counts)
+    for name, value in counts.items():
+        require(value >= 1, f"{name} must be >= 1, got {value}")
+
+
+def _require_distance_threshold(delta_x: float) -> None:
+    require(0.0 <= delta_x <= 1.0, f"distance_threshold must be in [0, 1], got {delta_x}")
+
+
+def _require_infeasible_fraction(p_max_infeas: float) -> None:
+    require(0.0 <= p_max_infeas < 1.0,
+            f"max_infeasible_fraction must be in [0, 1), got {p_max_infeas}")
+
+
 @dataclass(frozen=True)
 class LoopConfig:
     rounds: int = 10
@@ -91,24 +106,20 @@ class LoopConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("rounds", "evals_per_round", "presolver_rounds",
-                     "seeds_per_round", "refine_iters", "samples_per_iter",
-                     "num_neighbors"):
-            require(getattr(self, name) >= 1, f"{name} must be >= 1")
+        _require_counts(**{name: getattr(self, name) for name in (
+            "rounds", "evals_per_round", "presolver_rounds", "seeds_per_round",
+            "refine_iters", "samples_per_iter", "num_neighbors")})
         require(len(self.base_temperatures) >= 1, "base_temperatures must be nonempty")
         require(all(t >= 0 for t in self.base_temperatures),
                 "base_temperatures must be nonnegative")
         if self.likelihood_floor is not None:
             require(0.0 < self.likelihood_floor < 1.0,
                     f"likelihood_floor must be in (0, 1), got {self.likelihood_floor}")
-        require(0.0 <= self.max_infeasible_fraction < 1.0,
-                f"max_infeasible_fraction must be in [0, 1), got {self.max_infeasible_fraction}")
+        _require_infeasible_fraction(self.max_infeasible_fraction)
         require(self.dataset_mode in ("pairs", "triples"),
                 f"dataset_mode must be 'pairs' or 'triples', got {self.dataset_mode!r}")
-        require(0.0 <= self.distance_threshold <= 1.0,
-                f"distance_threshold must be in [0, 1], got {self.distance_threshold}")
-        require(0 <= int(self.seed) <= 2**64 - 1,
-                f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        _require_distance_threshold(self.distance_threshold)
+        require_seed(self.seed)
 
     def log_likelihood_floor(self, length: int) -> float:
         if self.likelihood_floor is None:
@@ -152,11 +163,18 @@ class CandidateSet:
 
 @dataclass(frozen=True)
 class PresolverData:
-    """Everything the evolution presolver scored, in evaluation order."""
+    """Everything the evolution presolver scored, in evaluation order; the
+    incumbent and evaluation count derive from these rows."""
 
     scored: ScoredSet
-    incumbent: ScoredSequence
-    evals_used: int
+
+    @property
+    def incumbent(self) -> ScoredSequence:
+        return incumbent_of(self.scored.tokens, self.scored.values)
+
+    @property
+    def evals_used(self) -> int:
+        return len(self.scored)
 
     @property
     def min_regret(self) -> float:
@@ -236,6 +254,8 @@ def format_dataset(scored: ScoredSet, mode: str = "pairs",
     float32 while (L+1) * n < 2**24, and runs in float64 beyond that.
     """
     require(mode in ("pairs", "triples"), f"mode must be 'pairs' or 'triples', got {mode!r}")
+    _require_distance_threshold(delta_x)
+    _require_counts(num_neighbors=k_n)
     require(len(scored) >= 1, "scored set must be nonempty")
     tokens, values = scored.tokens, scored.values
     n, length = tokens.shape
@@ -453,7 +473,8 @@ def filter_candidates(candidates: CandidateSet, mask: np.ndarray, j: int,
     ``InvalidParamsError`` when a candidate token lies outside [0, v),
     v being the mask's size.
     """
-    require(j >= 1, f"j must be >= 1, got {j}")
+    _require_counts(j=j)
+    _require_infeasible_fraction(p_max_infeas)
     require_tokens_in_range(candidates.tokens, mask.shape[0])
     keep = np.flatnonzero(candidates.logliks > log_p_min)
     if keep.size == 0:
@@ -484,16 +505,11 @@ def run_presolver(function, ga_config: GAConfig, presolver_rounds: int) -> Preso
     (presolver_rounds - 1) full steps are scored. Everything scored is
     returned as labeled data.
     """
-    require(presolver_rounds >= 1, f"presolver_rounds must be >= 1, got {presolver_rounds}")
+    _require_counts(presolver_rounds=presolver_rounds)
     ledger = EvalLedger(function)
-    state = run_ga(ledger, ga_config,
-                   budget=presolver_rounds * ga_config.num_particles,
-                   stop_on_optimum=False)
-    return PresolverData(
-        scored=ScoredSet(tokens=ledger.tokens(), values=ledger.values()),
-        incumbent=state.incumbent,
-        evals_used=state.evals_used,
-    )
+    run_ga(ledger, ga_config, budget=presolver_rounds * ga_config.num_particles,
+           stop_on_optimum=False)
+    return PresolverData(scored=ScoredSet(tokens=ledger.tokens(), values=ledger.values()))
 
 
 def run_llome(function, generator, config: LoopConfig,
@@ -550,14 +566,10 @@ def run_llome(function, generator, config: LoopConfig,
 
         values = function.evaluate_batch(selected.tokens)
         evals_used += values.shape[0]
-        top = int(np.argmax(values))
-        if values[top] > best.value:
-            best = ScoredSequence(tokens=selected.tokens[top].copy(),
-                                  value=float(values[top]))
+        best = incumbent_of(selected.tokens, values, best)
 
         feasible = values > -np.inf
         rewards = margin_reward(selected.seed_values, values)
-        min_regret = float(1.0 - values[feasible].max()) if feasible.any() else math.inf
         mean_regret = float(1.0 - values[feasible].mean()) if feasible.any() else math.inf
         rounds.append(RoundStats(
             round_index=round_index,
@@ -567,7 +579,7 @@ def run_llome(function, generator, config: LoopConfig,
             num_selected=len(selected),
             unique_fraction=len(candidates) / candidates.num_generated,
             feasible_fraction=float(feasible.mean()),
-            min_regret=min_regret,
+            min_regret=regret_of_value(values.max()),
             mean_regret=mean_regret,
             min_regret_so_far=regret_of_value(best.value),
             mean_margin_reward=float(rewards.mean()),

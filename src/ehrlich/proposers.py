@@ -26,6 +26,8 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidParamsError, ParseError
+# Bound by name: replacing ``ga.mutate``, as a tracer does, leaves proposals out.
+from .ga import mutate
 
 
 @runtime_checkable
@@ -93,14 +95,10 @@ class MutationProposer:
         batch, length = inputs.shape
         if length != self.length:
             raise InvalidParamsError(f"inputs must have length {self.length}, got {length}")
-        gen = rng.substream(seed)
         edit_p = self.edit_probabilities(temperature)
-        tiled = np.repeat(inputs[:, None, :], count, axis=1)
-        fire = gen.random(tiled.shape) < edit_p
-        replacements = gen.integers(0, self.vocab_size, size=tiled.shape)
-        proposals = np.where(fire, replacements, tiled)
-        logliks = self._loglik(tiled, proposals, edit_p)
-        return proposals, logliks
+        proposals = mutate(inputs, edit_p, count, self.vocab_size, seed)
+        proposals = proposals.reshape(batch, count, length)
+        return proposals, self._loglik(inputs[:, None, :], proposals, edit_p)
 
     def _loglik(self, inputs, outputs, edit_p) -> np.ndarray:
         v = self.vocab_size

@@ -26,6 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError, require
+from .function import regret_of_value
 from .instance_io import read_text
 from .losses import margin_reward
 from .tables import _row_blocks, format_table, read_table
@@ -232,14 +233,11 @@ class RunRecord:
 
     @property
     def best_value(self) -> float:
-        if not self.feasible.any():
-            return float("-inf")
-        return float(self.values[self.feasible].max())
+        return float(self.values.max())
 
     @property
     def min_regret(self) -> float:
-        best = self.best_value
-        return float("inf") if best == float("-inf") else 1.0 - best
+        return regret_of_value(self.best_value)
 
     def to_csv(self) -> str:
         meta = {
@@ -486,7 +484,7 @@ class RegretCurve:
         require(values.ndim == 1 and values.size >= 1,
                 "values must be a nonempty 1-D array")
         best = np.maximum.accumulate(values)
-        regrets = np.where(np.isneginf(best), np.inf, 1.0 - best)
+        regrets = regret_of_value(best)
         change = np.ones(values.shape[0], dtype=bool)
         change[1:] = regrets[1:] != regrets[:-1]
         change[-1] = True
@@ -626,8 +624,7 @@ def round_summaries(record: RunRecord) -> list[RoundSummary]:
         values = record.values[start:stop]
         rewards = np.atleast_1d(margin_reward(incumbent, values))
         feasible = record.feasible[start:stop]
-        if feasible.any():
-            incumbent = max(incumbent, float(values[feasible].max()))
+        incumbent = max(incumbent, float(values.max()))
         summaries.append(RoundSummary(
             round_index=int(rounds[start]),
             num_evals=stop - start,
@@ -635,6 +632,6 @@ def round_summaries(record: RunRecord) -> list[RoundSummary]:
             feasible_pct=float(feasible.mean() * 100.0),
             mean_margin_reward=float(rewards.mean()),
             max_margin_reward=float(rewards.max()),
-            min_regret=float("inf") if incumbent == float("-inf") else 1.0 - incumbent,
+            min_regret=regret_of_value(incumbent),
         ))
     return summaries

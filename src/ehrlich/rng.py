@@ -16,6 +16,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .errors import require
+
 SeedLike = Union[int, Sequence[int]]
 
 # Stream ids for per-instance artifacts.
@@ -43,7 +45,6 @@ def substream(seed: SeedLike, *path: int) -> np.random.Generator:
     """Philox generator for the named substream ``(seed, *path)``."""
     flat = seed_path(seed, *path)
     entropy, key = flat[0], flat[1:]
-    if entropy < 0:
-        raise ValueError(f"seed must be non-negative, got {entropy}")
+    require(entropy >= 0, f"seed must be non-negative, got {entropy}")
     seq = np.random.SeedSequence(entropy=entropy, spawn_key=key)
     return np.random.Generator(np.random.Philox(seed=seq))

@@ -10,8 +10,11 @@ import ast
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 import ehrlich.cli as cli
 from ehrlich import records
+from ehrlich.proposers import baseline_mutation_proposer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,3 +62,21 @@ def test_install_finds_every_traced_name_and_unwraps(monkeypatch):
     finally:
         tracer.unwrap_all()
     assert current() == before
+
+
+def test_traced_proposals_are_not_ga_mutate_calls(monkeypatch):
+    # propose draws through the GA's sampler; ga.mutate.s must still time only the GA
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import traced
+
+    tracer = spans.Tracer()
+    try:
+        traced.install(tracer)
+        baseline_mutation_proposer(0.1, 4, 8).propose(
+            np.zeros((3, 8), dtype=np.int64), 1.0, 2, seed=1)
+    finally:
+        tracer.unwrap_all()
+    names = [span[0] for span in tracer.spans]
+    assert "proposers.propose" in names
+    assert "ga.mutate" not in names

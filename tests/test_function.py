@@ -62,6 +62,19 @@ class TestParams:
         with pytest.raises(InvalidParamsError, match=match):
             EhrlichParams(**kwargs)
 
+    @pytest.mark.parametrize("field", ["vocab_size", "length", "num_motifs",
+                                       "motif_length", "quantization", "seed"])
+    @pytest.mark.parametrize("bad", [16.0, 2.5, True, "16"])
+    def test_integer_fields_reject_non_integers(self, field, bad):
+        kwargs = dict(vocab_size=4, length=16, num_motifs=2, motif_length=2, quantization=2)
+        with pytest.raises(InvalidParamsError, match=field):
+            EhrlichParams(**{**kwargs, field: bad})
+
+    def test_numpy_integers_are_integers(self):
+        params = EhrlichParams(vocab_size=np.int64(4), length=np.int32(16), num_motifs=2,
+                               motif_length=2, quantization=2, seed=np.uint64(2**64 - 1))
+        assert params.name == "Ehr(4,16)-2-2-2"
+
     def test_feasible_count_matches_fraction(self):
         assert feasible_count(4, 0.75) == 3
         assert feasible_count(32, 0.75) == 24

@@ -49,6 +49,18 @@ class TestMutate:
         x = rng.integers(0, 8, size=(3, 10))
         assert np.array_equal(mutate(x, 0.5, 4, 8, (9,)), mutate(x, 0.5, 4, 8, (9,)))
 
+    def test_per_position_probability(self):
+        x = np.zeros((1, 4), dtype=np.int64)
+        out = mutate(x, np.array([0.0, 1.0, 0.0, 1.0]), 4000, 4, seed=(5,))
+        assert not out[:, [0, 2]].any()
+        change_rate = (out[:, [1, 3]] != 0).mean()
+        se = math.sqrt(0.75 * 0.25 / 8000)
+        assert abs(change_rate - 0.75) <= 3 * se
+
+    def test_negative_seed_is_invalid_params(self):
+        with pytest.raises(InvalidParamsError, match="non-negative"):
+            mutate(np.zeros((2, 4), dtype=np.int64), 0.5, 1, 4, seed=-1)
+
 
 class TestRecombine:
     def test_zero_prob_copies_parent_two(self, rng):
@@ -130,6 +142,12 @@ class TestConfig:
     def test_invalid_rejected(self, kwargs, match):
         with pytest.raises(InvalidParamsError, match=match):
             GAConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["num_particles", "seed"])
+    @pytest.mark.parametrize("bad", [100.5, 100.0, True, "100"])
+    def test_integer_fields_reject_non_integers(self, field, bad):
+        with pytest.raises(InvalidParamsError, match=field):
+            GAConfig(**{field: bad})
 
 
 class TestLoop:

@@ -10,8 +10,8 @@ import pytest
 
 import oracles
 from ehrlich.errors import GeneratorCollapseError, InvalidParamsError
-from ehrlich.function import EhrlichParams, ScoredSequence, generate
-from ehrlich.ga import GAConfig
+from ehrlich.function import EhrlichParams, generate
+from ehrlich.ga import GAConfig, run_ga
 from ehrlich import llome, rng as ehrlich_rng
 from ehrlich.kernels import feasible_rows
 from ehrlich.llome import (
@@ -152,6 +152,16 @@ class TestFormatDataset:
         with pytest.raises(InvalidParamsError):
             format_dataset(ScoredSet(TOY_TOKENS, TOY_VALUES), "pairwise", 0.25, 30)
 
+    @pytest.mark.parametrize("k_n", [-1, 0, 2.5, True])
+    def test_rejects_bad_neighbor_count(self, k_n):
+        with pytest.raises(InvalidParamsError, match="num_neighbors"):
+            format_dataset(ScoredSet(TOY_TOKENS, TOY_VALUES), "pairs", 0.25, k_n)
+
+    @pytest.mark.parametrize("delta_x", [-0.1, 1.5, float("nan")])
+    def test_rejects_distance_threshold_outside_unit_interval(self, delta_x):
+        with pytest.raises(InvalidParamsError, match="distance_threshold"):
+            format_dataset(ScoredSet(TOY_TOKENS, TOY_VALUES), "pairs", delta_x, 30)
+
 
 def random_scored(rng, n, length, vocab):
     """Random rows from ``vocab`` with duplicate rows, tied and -inf values."""
@@ -279,6 +289,14 @@ class TestLoopConfig:
             with pytest.raises(InvalidParamsError, match="seed"):
                 LoopConfig(seed=bad)
         assert LoopConfig(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+    @pytest.mark.parametrize("field", ["rounds", "evals_per_round", "presolver_rounds",
+                                       "seeds_per_round", "refine_iters", "samples_per_iter",
+                                       "num_neighbors", "seed"])
+    @pytest.mark.parametrize("bad", [2.5, 16.0, True])
+    def test_counts_and_seed_must_be_integers(self, field, bad):
+        with pytest.raises(InvalidParamsError, match=field):
+            LoopConfig(**{field: bad})
 
 
 SMALL = LoopConfig(rounds=2, evals_per_round=300, presolver_rounds=3,
@@ -510,6 +528,21 @@ class TestFilterCandidates:
         with pytest.raises(InvalidParamsError, match=r"tokens must lie in \[0, 4\)"):
             filter_candidates(cands, mask, 10, log_p_min=-10.0, p_max_infeas=0.25, seed=0)
 
+    @pytest.mark.parametrize("p_max_infeas", [1.0, -0.5, float("nan")])
+    def test_rejects_infeasible_fraction_outside_range(self, feasible_and_infeasible,
+                                                        p_max_infeas):
+        mask, feasible, infeasible = feasible_and_infeasible
+        cands = make_candidates(np.stack([feasible, infeasible]), np.zeros(2))
+        with pytest.raises(InvalidParamsError, match="max_infeasible_fraction"):
+            filter_candidates(cands, mask, 10, -10.0, p_max_infeas, seed=0)
+
+    @pytest.mark.parametrize("j", [0, 2.5])
+    def test_rejects_bad_selection_size(self, feasible_and_infeasible, j):
+        mask, feasible, _ = feasible_and_infeasible
+        cands = make_candidates(np.tile(feasible, (3, 1)), np.zeros(3))
+        with pytest.raises(InvalidParamsError, match="j must be"):
+            filter_candidates(cands, mask, j, -10.0, 0.25, seed=0)
+
     def test_deterministic(self, feasible_and_infeasible, rng):
         mask, feasible, infeasible = feasible_and_infeasible
         tokens = np.concatenate([np.tile(feasible, (50, 1)), np.tile(infeasible, (50, 1))])
@@ -533,6 +566,20 @@ class TestPresolver:
         finite = pre.scored.values[pre.scored.values > -np.inf]
         assert pre.incumbent.value == finite.max()
         assert pre.min_regret == 1.0 - finite.max()
+
+    @pytest.mark.parametrize("seed", [0, 3, 9, 21, 40])
+    def test_incumbent_is_the_ga_incumbent(self, inst_4_8, seed):
+        config = GAConfig(num_particles=40, seed=seed)
+        pre = run_presolver(inst_4_8, config, presolver_rounds=5)
+        state = run_ga(inst_4_8, config, budget=5 * 40, stop_on_optimum=False)
+        assert np.array_equal(pre.incumbent.tokens, state.incumbent.tokens)
+        assert pre.incumbent.value == state.incumbent.value
+        assert pre.evals_used == state.evals_used
+
+    @pytest.mark.parametrize("rounds", [2.5, 2.0, True, 0])
+    def test_rejects_bad_round_count(self, inst_4_8, rounds):
+        with pytest.raises(InvalidParamsError, match="presolver_rounds"):
+            run_presolver(inst_4_8, GAConfig(num_particles=40, seed=1), rounds)
 
     def test_deterministic(self, inst_4_8):
         config = GAConfig(num_particles=30, seed=9)
@@ -653,11 +700,7 @@ class TestRunLlome:
 
     def test_collapse_without_feasible_seed(self, inst_4_16):
         tokens = np.zeros((4, 16), dtype=np.int64)
-        bad = PresolverData(
-            scored=ScoredSet(tokens, np.full(4, -np.inf)),
-            incumbent=ScoredSequence(tokens[0], -np.inf),
-            evals_used=4,
-        )
+        bad = PresolverData(scored=ScoredSet(tokens, np.full(4, -np.inf)))
         config = LoopConfig(rounds=1, seed=0)
         with pytest.raises(GeneratorCollapseError, match="no feasible seed"):
             run_llome(inst_4_16, EchoProposer(), config, bad)

@@ -24,6 +24,7 @@ from ehrlich import (
 )
 from ehrlich import rng as ehrlich_rng
 from ehrlich import tables
+from ehrlich.function import incumbent_of
 from ehrlich.instance_io import format_sequences
 from ehrlich.kernels import feasible_rows
 from ehrlich.llome import LoopConfig, ScoredSet, iterative_refinement
@@ -377,3 +378,28 @@ def test_mutated_mirror_raises_only_package_errors(mirror, data):
         event(type(exc).__name__)
     else:
         event("read")
+
+
+_BATCH_VALUES = st.lists(st.sampled_from([-np.inf, 0.0, 0.25, 0.5, 1.0]), min_size=1, max_size=6)
+
+
+@given(st.lists(_BATCH_VALUES, min_size=1, max_size=6))
+@example([[-np.inf, 0.5], [-np.inf], [0.5, 0.5]])
+@example([[-np.inf], [-np.inf, -np.inf]])
+@settings(max_examples=300, deadline=None)
+def test_incumbent_folded_over_batches_is_the_incumbent_of_all(batches):
+    # Row i holds tokens [i, i], so the tokens name the row that won.
+    values = np.concatenate([np.array(batch) for batch in batches])
+    tokens = np.repeat(np.arange(values.size), 2).reshape(-1, 2)
+    incumbent, start = None, 0
+    for batch in batches:
+        stop = start + len(batch)
+        incumbent = incumbent_of(tokens[start:stop], values[start:stop], incumbent)
+        start = stop
+    whole = incumbent_of(tokens, values)
+    assert np.array_equal(incumbent.tokens, whole.tokens)
+    assert incumbent.value == whole.value
+    # the first best row in evaluation order; row 0 when nothing is feasible
+    assert int(whole.tokens[0]) == int(np.argmax(values))
+    event(f"ties at the best: {int((values == values.max()).sum()) > 1}")
+    event(f"all -inf: {bool(np.isneginf(values).all())}")

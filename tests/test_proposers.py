@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ehrlich.errors import InvalidParamsError, ParseError
+from ehrlich.ga import mutate
 from ehrlich.llome import RefinementDataset
 from ehrlich.proposers import (
     EchoProposer,
@@ -52,6 +53,18 @@ class TestMutationProposer:
         flat_proposals = proposals.reshape(-1, 10)
         scored = prop.score_likelihood(flat_inputs, flat_proposals, 0.9)
         assert np.array_equal(scored, logliks.ravel())
+
+    def test_draws_through_the_ga_sampler(self, rng):
+        prop = MutationProposer(0.2, 4, 8, position_weights=np.linspace(0.0, 2.0, 8))
+        inputs = rng.integers(0, 4, size=(5, 8))
+        proposals, _ = prop.propose(inputs, 1.3, 6, seed=(4, 1))
+        expected = mutate(inputs, prop.edit_probabilities(1.3), 6, 4, (4, 1))
+        assert np.array_equal(proposals, expected.reshape(5, 6, 8))
+
+    def test_negative_seed_is_invalid_params(self):
+        prop = baseline_mutation_proposer(0.1, 4, 6)
+        with pytest.raises(InvalidParamsError, match="non-negative"):
+            prop.propose(np.zeros((2, 6), dtype=np.int64), 1.0, 3, seed=-1)
 
     def test_deterministic_in_seed(self, rng):
         prop = baseline_mutation_proposer(0.15, 4, 8)

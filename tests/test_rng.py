@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ehrlich import rng
+from ehrlich import InvalidParamsError, rng
 
 
 def test_same_path_reproduces():
@@ -44,6 +44,12 @@ def test_consumption_order_does_not_couple_streams():
 def test_negative_seed_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         rng.substream(-1)
+
+
+def test_negative_seed_is_invalid_params():
+    for seed in (-1, (-1, 2), np.int64(-5)):
+        with pytest.raises(InvalidParamsError, match="non-negative"):
+            rng.substream(seed)
 
 
 def test_stream_constants_distinct():
