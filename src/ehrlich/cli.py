@@ -4,14 +4,16 @@ Subcommands cover the whole workflow: ``gen`` materializes a test
 function as a text document, ``eval`` scores a sequence file against
 one, ``run-ga`` and ``run-llome`` execute the solvers and persist
 per-evaluation run records, ``sweep`` scans one instance axis with the
-evolutionary baseline, ``report`` rebuilds round-level diagnostics from
-stored records, and ``bench`` times the scoring kernel on a uniform-random
-batch.
+evolutionary baseline, and ``report`` rebuilds round-level diagnostics
+from stored records. Every solver run goes through one driver,
+``_execute``: it owns the run's oracle ledger, its timer, its record and
+every file the run writes.
 
 Exit codes: 0 on success, 2 for invalid input (bad parameters, malformed
-files, missing paths), 3 when a solver aborts mid-run. Output files go
-to ``--out-dir`` when given, else the ``EHRLICH_OUT_DIR`` environment
-variable, else the working directory.
+files, missing paths, output paths that cannot be written), 3 when a
+solver aborts mid-run. Run files go to ``--out-dir`` when given, else
+the ``EHRLICH_OUT_DIR`` environment variable, else the working
+directory.
 """
 
 from __future__ import annotations
@@ -80,9 +82,25 @@ def _slug(name: str) -> str:
 
 
 def _out_dir(args) -> Path:
-    path = Path(getattr(args, "out_dir", None) or os.environ.get(ENV_OUT_DIR) or ".")
-    if path.exists() and not path.is_dir():
-        raise InvalidParamsError(f"output path is not a directory: {path}")
+    """The run directory; refused before any run if it, or the nearest of its
+    parents that exists, is not a directory."""
+    path = Path(args.out_dir or os.environ.get(ENV_OUT_DIR) or ".")
+    for existing in (path, *path.parents):
+        if existing.exists():
+            if not existing.is_dir():
+                blocker = "" if existing == path else f" ({existing} is a file)"
+                raise InvalidParamsError(f"output path is not a directory: {path}{blocker}")
+            break
+    return path
+
+
+def _output_file(name: str) -> Path:
+    """``name`` as a file path that can be written, else an InvalidParamsError."""
+    path = Path(name)
+    if path.is_dir():
+        raise InvalidParamsError(f"output file is a directory: {path}")
+    if not path.parent.is_dir():
+        raise InvalidParamsError(f"output file's parent is not a directory: {path}")
     return path
 
 
@@ -119,14 +137,14 @@ def _run_seeds(args) -> list[int]:
 
 
 def _param_overrides(args) -> dict:
-    overrides = {}
-    if getattr(args, "feasible_fraction", None) is not None:
-        overrides["feasible_fraction"] = args.feasible_fraction
-    if getattr(args, "epistasis_factor", None) is not None:
-        overrides["epistasis_factor"] = args.epistasis_factor
-    if getattr(args, "softmax_temperature", None) is not None:
-        overrides["softmax_temperature"] = args.softmax_temperature
-    return overrides
+    return {name: getattr(args, name)
+            for name in ("feasible_fraction", "epistasis_factor", "softmax_temperature")
+            if getattr(args, name) is not None}
+
+
+def _named_params(args) -> EhrlichParams:
+    """The ``--name`` instance at ``--instance-seed``, with the optional overrides."""
+    return EhrlichParams.from_name(args.name, seed=args.instance_seed, **_param_overrides(args))
 
 
 def _input_path(name: str, what: str) -> Path:
@@ -140,13 +158,10 @@ def _input_path(name: str, what: str) -> Path:
 
 
 def _function_from_args(args):
-    if getattr(args, "instance", None):
+    if args.instance:
         return read_instance(_input_path(args.instance, "instance file"))
-    if getattr(args, "name", None):
-        params = EhrlichParams.from_name(
-            args.name, seed=args.instance_seed, **_param_overrides(args)
-        )
-        return generate(params)
+    if args.name:
+        return generate(_named_params(args))
     raise InvalidParamsError("provide --instance FILE or --name NAME")
 
 
@@ -206,10 +221,9 @@ def _print_run(record) -> None:
 # --- gen ------------------------------------------------------------------
 
 def cmd_gen(args) -> int:
+    out = _output_file(args.out) if args.out else None
     if args.name:
-        params = EhrlichParams.from_name(
-            args.name, seed=args.instance_seed, **_param_overrides(args)
-        )
+        params = _named_params(args)
     else:
         missing = [flag for flag, value in
                    (("--v", args.v), ("--L", args.L), ("--c", args.c),
@@ -225,9 +239,9 @@ def cmd_gen(args) -> int:
             **_param_overrides(args),
         )
     document = serialize_instance(generate(params))
-    if args.out:
-        Path(args.out).write_text(document)
-        print(f"wrote {params.name} (seed {params.seed}) to {args.out}", file=sys.stderr)
+    if out:
+        out.write_text(document)
+        print(f"wrote {params.name} (seed {params.seed}) to {out}", file=sys.stderr)
     else:
         sys.stdout.write(document)
     return EXIT_OK
@@ -236,6 +250,7 @@ def cmd_gen(args) -> int:
 # --- eval -----------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    out = _output_file(args.out) if args.out else None
     function = read_instance(_input_path(args.instance, "instance file"))
     path = _input_path(args.sequences, "sequence file")
     tokens, _ = parse_sequences(
@@ -245,8 +260,8 @@ def cmd_eval(args) -> int:
         raise InvalidParamsError(f"sequence file is empty: {path}")
     values = function.evaluate_batch(tokens)
     scored = format_sequences(tokens, values)
-    if args.out:
-        Path(args.out).write_text(scored)
+    if out:
+        out.write_text(scored)
     else:
         sys.stdout.write(scored)
     best = float(values.max())
@@ -258,57 +273,76 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-# --- run-ga ---------------------------------------------------------------
+# --- runs ---------------------------------------------------------------
 
-def _ledger_record(ledger: EvalLedger, run_id: str, solver: str, config: dict,
-                   duration: float, presolver_calls: int = 1) -> RunRecord:
-    """A run's record from the one ledger of its oracle calls: the first
-    ``presolver_calls`` batches are round 0, and each later batch is its own round."""
+def _execute(function, run_id: str, solver: str, config: dict, solve,
+             out_dir: Path) -> RunRecord:
+    """Run one solver, write the run's record, JSON mirror and regret curve,
+    and return the record.
+
+    ``solve(ledger)`` scores every batch through ``ledger`` and returns
+    ``(presolver_calls, result)``: the first ``presolver_calls`` batches
+    are round 0 and each later batch is its own round; ``result`` is the
+    loop's ``LoopResult``, also written as ``<run_id>.rounds.json``, or None.
+    """
+    ledger = EvalLedger(function)
+    start = time.perf_counter()
+    presolver_calls, result = solve(ledger)
+    duration = time.perf_counter() - start
     rounds = ledger.call_rounds()
     np.maximum(rounds - (presolver_calls - 1), 0, out=rounds)
-    return make_run_record(run_id, ledger.params.name, ledger.params.seed, solver, config,
-                           values=ledger.values(), rounds=rounds, duration_seconds=duration,
-                           unique=ledger.unique())
-
-
-def _write_run(record: RunRecord, out_dir: Path) -> Path:
-    """Write the record, its JSON mirror and its regret curve; return the CSV path."""
+    record = make_run_record(run_id, function.params.name, function.params.seed, solver, config,
+                             values=ledger.values(), rounds=rounds, duration_seconds=duration,
+                             unique=ledger.unique())
+    del ledger  # its rows and seen-row set are not needed to write the record
     csv_path = write_run_record(record, out_dir)
     csv_path.with_suffix(".curve.csv").write_text(RegretCurve.from_record(record).to_csv())
-    return csv_path
-
-
-def _execute_ga_run(function, args, seed: int, budget: int, out_dir: Path,
-                    run_id: str) -> RunRecord:
-    ledger = EvalLedger(function)
-    config = _ga_config(args, seed)
-    start = time.perf_counter()
-    run_ga(ledger, config, budget=budget,
-           stop_on_optimum=not getattr(args, "no_early_stop", False))
-    duration = time.perf_counter() - start
-    record = _ledger_record(ledger, run_id, "ga", dict(dataclasses.asdict(config), budget=budget),
-                            duration)
-    del ledger  # its rows and seen-row set are not needed to write the record
-    _write_run(record, out_dir)
+    if result is not None:
+        stats_payload = {
+            "format": "round-stats",
+            "version": 1,
+            "run_id": run_id,
+            "presolver_evals": result.presolver_evals,
+            "presolver_min_regret": result.presolver_min_regret,
+            "rounds": [dataclasses.asdict(stats) for stats in result.rounds],
+        }
+        csv_path.with_suffix(".rounds.json").write_text(
+            json.dumps(stats_payload, indent=2) + "\n"
+        )
     return record
 
 
-def cmd_run_ga(args) -> int:
+def _execute_ga(function, args, seed: int, run_id: str, out_dir: Path) -> RunRecord:
+    """One evolutionary-baseline run of ``run-ga`` or ``sweep``."""
     if args.budget < args.particles:
         raise InvalidParamsError(
             f"--budget must cover at least one step: {args.budget} < {args.particles}"
         )
+    config = _ga_config(args, seed)
+
+    def solve(ledger):
+        # the initial population is round 0 and each step its own round
+        run_ga(ledger, config, budget=args.budget, stop_on_optimum=not args.no_early_stop)
+        return 1, None
+
+    record = _execute(function, run_id, "ga", dict(dataclasses.asdict(config), budget=args.budget),
+                      solve, out_dir)
+    if record.num_evals > args.budget:
+        raise GenerationError(
+            f"run {run_id} exceeded the budget: {record.num_evals} > {args.budget}"
+        )
+    return record
+
+
+# --- run-ga ---------------------------------------------------------------
+
+def cmd_run_ga(args) -> int:
     function = _function_from_args(args)
     out_dir = _out_dir(args)
     slug = _slug(function.params.name)
     for seed in _run_seeds(args):
         run_id = f"ga-{slug}-i{function.params.seed}-s{seed}"
-        record = _execute_ga_run(function, args, seed, args.budget, out_dir, run_id)
-        if record.num_evals > args.budget:
-            raise GenerationError(
-                f"run {run_id} exceeded the budget: {record.num_evals} > {args.budget}"
-            )
-        _print_run(record)
+        _print_run(_execute_ga(function, args, seed, run_id, out_dir))
     return EXIT_OK
 
 
@@ -342,42 +376,26 @@ def cmd_run_llome(args) -> int:
         proposer = baseline_mutation_proposer(
             args.mutation_rate, function.params.vocab_size, function.params.length
         )
-        # One ledger records the presolver's batches, all round 0, then
-        # the loop's, which scores exactly one batch per round.
-        ledger = EvalLedger(function)
-        start = time.perf_counter()
-        presolved = run_presolver(ledger, ga_config, config.presolver_rounds)
-        presolver_calls = ledger.num_calls
-        result = run_llome(ledger, proposer, config, presolved)
-        duration = time.perf_counter() - start
+
+        def solve(ledger):
+            # the presolver's batches are round 0; the loop scores one batch per round
+            presolved = run_presolver(ledger, ga_config, config.presolver_rounds)
+            presolver_calls = ledger.num_calls
+            return presolver_calls, run_llome(ledger, proposer, config, presolved)
+
         run_id = f"llome-{slug}-i{function.params.seed}-s{seed}"
-        record = _ledger_record(ledger, run_id, "llome-baseline", dict(
+        _print_run(_execute(function, run_id, "llome-baseline", dict(
             dataclasses.asdict(config),
             presolver_particles=args.presolver_particles,
             mutation_rate=args.mutation_rate,
-        ), duration, presolver_calls)
-        del ledger
-        csv_path = _write_run(record, out_dir)
-        stats_payload = {
-            "format": "round-stats",
-            "version": 1,
-            "run_id": run_id,
-            "presolver_evals": result.presolver_evals,
-            "presolver_min_regret": result.presolver_min_regret,
-            "rounds": [dataclasses.asdict(stats) for stats in result.rounds],
-        }
-        csv_path.with_suffix(".rounds.json").write_text(
-            json.dumps(stats_payload, indent=2) + "\n"
-        )
-        _print_run(record)
+        ), solve, out_dir))
     return EXIT_OK
 
 
 # --- sweep ----------------------------------------------------------------
 
 def _checkpoints(budget: int, count: int = 10) -> list[int]:
-    marks = sorted({max(1, budget * i // count) for i in range(1, count + 1)})
-    return marks
+    return sorted({max(1, budget * i // count) for i in range(1, count + 1)})
 
 
 def cmd_sweep(args) -> int:
@@ -387,13 +405,7 @@ def cmd_sweep(args) -> int:
     values = _parse_int_list(args.values, "--values")
     if not values:
         raise InvalidParamsError("--values must list at least one integer")
-    if args.budget < args.particles:
-        raise InvalidParamsError(
-            f"--budget must cover at least one step: {args.budget} < {args.particles}"
-        )
-    base = EhrlichParams.from_name(
-        args.name, seed=args.instance_seed, **_param_overrides(args)
-    )
+    base = _named_params(args)
     # Validate the whole grid up front so a bad cell (e.g. c*k > L)
     # aborts before any compute is spent.
     grid = [dataclasses.replace(base, **{field: value}) for value in values]
@@ -408,7 +420,7 @@ def cmd_sweep(args) -> int:
         curves = []
         for seed in seeds:
             run_id = f"sweep-{args.axis}{value}-{slug}-i{params.seed}-s{seed}"
-            record = _execute_ga_run(function, args, seed, args.budget, out_dir, run_id)
+            record = _execute_ga(function, args, seed, run_id, out_dir)
             curves.append(RegretCurve.from_record(record))
         at_marks = np.stack([curve.regret_at(np.asarray(marks)) for curve in curves])
         medians[value] = np.median(at_marks, axis=0)
@@ -450,14 +462,21 @@ def cmd_sweep(args) -> int:
 # --- report ---------------------------------------------------------------
 
 def cmd_report(args) -> int:
+    out = _output_file(args.out) if args.out else None
+    if out:
+        _output_file(out.with_suffix(".json"))
     paths = [_input_path(p, "record file") for p in args.records or []]
     if args.records_dir:
+        directory = Path(args.records_dir)
+        if not directory.is_dir():
+            state = "is not a directory" if directory.exists() else "not found"
+            raise InvalidParamsError(f"records directory {state}: {directory}")
         # The output directory also holds curve/sweep CSVs; take only
         # files that identify themselves as run records.
-        paths += [found for found in sorted(Path(args.records_dir).glob("*.csv"))
-                  if is_table(found, "run-record")]
+        paths += [path for path in sorted(directory.glob("*.csv")) if is_table(path, "run-record")]
     if not paths:
-        raise InvalidParamsError("provide record files or --records-dir")
+        raise InvalidParamsError(f"no run records in {args.records_dir}" if args.records_dir
+                                 else "provide record files or --records-dir")
     rows = []
     for path in paths:
         record = read_run_record(path)
@@ -474,48 +493,19 @@ def cmd_report(args) -> int:
                   f"{s.feasible_pct:>9.1f} {s.mean_margin_reward:>11.4g} "
                   f"{s.max_margin_reward:>10.4g} {s.min_regret:>10.4g}")
             rows.append((record.run_id, s))
-    if args.out:
+    if out:
         columns = {"run_id": [run_id for run_id, _ in rows]}
         for field in dataclasses.fields(RoundSummary):
             name = "round" if field.name == "round_index" else field.name
             columns[name] = [getattr(s, field.name) for _, s in rows]
-        Path(args.out).write_text(format_table("round-report", 1, columns))
+        out.write_text(format_table("round-report", 1, columns))
         payload = {
             "format": "round-report",
             "version": 1,
             "rows": [dict(run_id=run_id, **dataclasses.asdict(s)) for run_id, s in rows],
         }
-        Path(args.out).with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-    return EXIT_OK
-
-
-# --- bench ----------------------------------------------------------------
-
-def cmd_bench(args) -> int:
-    for flag, value, low in (("--batch", args.batch, 1), ("--repeats", args.repeats, 1),
-                             ("--bench-seed", args.bench_seed, 0)):
-        if value < low:
-            raise InvalidParamsError(f"{flag} must be >= {low}, got {value}")
-    function = _function_from_args(args)
-    rng = np.random.default_rng(args.bench_seed)
-    tokens = rng.integers(
-        0, function.params.vocab_size,
-        size=(args.batch, function.params.length), dtype=np.int64,
-    )
-    print(f"instance {function.params.name} (seed {function.params.seed}), "
-          f"batch {args.batch} x {args.repeats} repeats")
-    function.evaluate_batch(tokens[:64])  # warm-up
-    start = time.perf_counter()
-    for _ in range(args.repeats):
-        function.evaluate_batch(tokens)
-    rate = args.batch * args.repeats / (time.perf_counter() - start)
-    print(f"   numpy: {rate:,.0f} seq/s")
-    if args.out:
-        Path(args.out).write_text(format_table("bench", 1, {
-            "backend": ["numpy"],
-            "seqs_per_sec": [rate],
-        }))
+        out.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -598,15 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--records-dir", metavar="DIR")
     p.add_argument("--out", metavar="FILE", help="also write CSV (+ JSON mirror)")
     p.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("bench", help="time the scoring kernel")
-    _add_instance_args(p)
-    p.add_argument("--batch", type=int, default=10000)
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--bench-seed", type=int, default=0,
-                   help="seed for the random benchmark batch")
-    p.add_argument("--out", metavar="FILE", help="write rates as CSV")
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

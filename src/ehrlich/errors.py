@@ -48,9 +48,9 @@ def require(condition: bool, message: str) -> None:
 def require_integers(**values) -> None:
     """Raise ``InvalidParamsError`` unless each value is a Python or numpy
     integer; ``bool``, ``16.0`` and ``"16"`` are not."""
-    for name, value in values.items():
-        require(isinstance(value, numbers.Integral) and not isinstance(value, bool),
-                f"{name} must be an integer, got {value!r}")
+    for name, value in values.items():  # the message is built only on failure
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
 
 
 def require_seed(seed) -> None:

@@ -463,9 +463,10 @@ def generate(params: EhrlichParams) -> EhrlichFunction:
 def is_feasible(tokens: np.ndarray, transition: TransitionMatrix) -> bool:
     """True iff every adjacent transition in the sequence is allowed.
 
-    Raises ``InvalidParamsError`` for a token outside [0, v).
+    Raises ``InvalidParamsError`` for a token array that is not of an
+    integer dtype or holds a token outside [0, v).
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
+    tokens = _int_tokens(tokens)
     require_tokens_in_range(tokens, transition.mask.shape[0])
     return bool(feasible_rows(tokens[None, :], transition.mask)[0])
 
@@ -519,12 +520,12 @@ def evaluate(function: EhrlichFunction, tokens) -> float:
 def evaluate_batch(function: EhrlichFunction, tokens: np.ndarray) -> np.ndarray:
     """f over an (N, L) token array; the only entry into the scoring kernel.
 
-    Raises ``InvalidParamsError`` unless the batch has shape (N, L) and
-    every token lies in [0, v). The kernel indexes the transition mask
-    with tokens and assumes this check has been made.
+    Raises ``InvalidParamsError`` unless the batch is of an integer dtype,
+    has shape (N, L) and every token lies in [0, v). The kernel indexes the
+    transition mask with tokens and assumes these checks have been made.
     """
     params = function.params
-    tokens = np.ascontiguousarray(tokens, dtype=np.int64)
+    tokens = np.ascontiguousarray(_int_tokens(tokens))
     require(tokens.ndim == 2 and tokens.shape[1] == params.length,
             f"batch must have shape (N, {params.length}) for sequence length "
             f"{params.length}, got {tokens.shape}")
@@ -538,6 +539,16 @@ def evaluate_batch(function: EhrlichFunction, tokens: np.ndarray) -> np.ndarray:
         params.quantization,
         float(params.epistasis_factor),
     )
+
+
+def _int_tokens(tokens) -> np.ndarray:
+    """``tokens`` as an int64 array; ``InvalidParamsError`` unless its dtype is
+    an integer one. Float, bool and object arrays are refused rather than
+    truncated, which would score a different sequence."""
+    tokens = np.asarray(tokens)
+    if tokens.dtype.kind not in "iu":  # the message is built only on failure: str(dtype) is slow
+        raise InvalidParamsError(f"sequence tokens must be integers, got dtype {tokens.dtype}")
+    return tokens.astype(np.int64, copy=False)
 
 
 def require_tokens_in_range(tokens: np.ndarray, vocab_size: int) -> None:

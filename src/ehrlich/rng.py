@@ -16,7 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import require
+from .errors import require, require_integers
 
 SeedLike = Union[int, Sequence[int]]
 
@@ -35,10 +35,17 @@ DOMAIN_PROPOSER = 3
 
 
 def seed_path(seed: SeedLike, *path: int) -> tuple[int, ...]:
-    """Flatten ``seed`` (an int or an (entropy, *ids) tuple) plus ``path``."""
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed), *(int(p) for p in path))
-    return (*(int(p) for p in seed), *(int(p) for p in path))
+    """Flatten ``seed`` (an int or an (entropy, *ids) tuple) plus ``path``.
+
+    Raises ``InvalidParamsError`` unless every part is an integer, so a
+    float is refused rather than truncated to another stream.
+    """
+    parts = (*seed, *path) if isinstance(seed, (tuple, list)) else (seed, *path)
+    for part in parts:
+        require_integers(seed=part)
+    # unpacked, not tuple(...): the tuple() form raised the peak RSS of a
+    # 1M-evaluation run-ga by 10 MB, with the same output (cause not found)
+    return (*(int(part) for part in parts),)
 
 
 def substream(seed: SeedLike, *path: int) -> np.random.Generator:

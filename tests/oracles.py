@@ -329,13 +329,6 @@ def sweep_table_csv(axis, base_name, instance_seed, budget, seeds, marks, median
     return "\n".join(lines) + "\n"
 
 
-def bench_csv(results) -> str:
-    """``results`` are (backend, sequences per second) pairs."""
-    lines = ["# bench v1", "backend,seqs_per_sec"]
-    lines += [f"{backend},{rate!r}" for backend, rate in results]
-    return "\n".join(lines) + "\n"
-
-
 def loss_batch_csv(batch) -> str:
     """A ``csv.writer`` loss batch: a "\\n" version line, then "\\r\\n" rows."""
     handle = io.StringIO()

@@ -69,6 +69,11 @@ class TestGen:
         doc1 = capsys.readouterr().out
         assert doc0 != doc1
 
+    def test_out_naming_a_directory_exit_2(self, tmp_path, capsys):
+        rc = cli.main(["gen", "--name", INSTANCE, "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"output file is a directory: {tmp_path}" in capsys.readouterr().err
+
 
 class TestEval:
     def test_documented_optimum_scores_one(self, instance_file, tmp_path, capsys):
@@ -128,6 +133,14 @@ class TestEval:
         rc = cli.main(["eval", "--instance", str(tmp_path), "--sequences", str(seqs)])
         assert rc == 2
         assert "instance file is a directory" in capsys.readouterr().err
+
+    def test_out_naming_a_directory_exit_2(self, instance_file, tmp_path, capsys):
+        seqs = tmp_path / "seqs.txt"
+        seqs.write_text("0,0,0,0,0,0,0,0\n")
+        rc = cli.main(["eval", "--instance", str(instance_file),
+                       "--sequences", str(seqs), "--out", str(tmp_path)])
+        assert rc == 2
+        assert f"output file is a directory: {tmp_path}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field,tamper", [
         ("motifs", lambda doc: doc["motifs"][0].append(0)),
@@ -232,6 +245,16 @@ class TestRunGa:
         assert "refusing to overwrite" not in err
         assert target.read_text() == "not a directory\n"
 
+    def test_out_dir_under_a_file_exit_2_before_running(self, tmp_path, capsys, monkeypatch):
+        target = tmp_path / "file.txt"
+        target.write_text("not a directory\n")
+        monkeypatch.setattr(cli, "run_ga", None)  # any run would fail here
+        rc = cli.main(run_ga_args(target / "sub", seeds="1"))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"output path is not a directory: {target / 'sub'} ({target} is a file)" in err
+        assert target.read_text() == "not a directory\n"
+
     def test_instance_file_input(self, instance_file, tmp_path, capsys):
         rc = cli.main(["run-ga", "--instance", str(instance_file),
                        "--budget", "100", "--particles", "50",
@@ -280,6 +303,36 @@ class TestRunLlome:
         ])
         assert rc == 3
         assert "solver abort" in capsys.readouterr().err
+
+    def test_abort_on_second_seed_keeps_first_seed_files(self, tmp_path, capsys, monkeypatch):
+        args = ["run-llome", "--name", "Ehr(4,16)-2-2-2", "--instance-seed", "1",
+                "--rounds", "2", "--evals-per-round", "200", "--presolver-rounds", "2",
+                "--presolver-particles", "30", "--seeds-per-round", "20",
+                "--refine-iters", "2", "--samples-per-iter", "4"]
+        assert cli.main([*args, "--seed-list", "0", "--out-dir", str(tmp_path / "alone")]) == 0
+        real_run_llome = cli.run_llome
+        calls = []
+
+        def second_collapses(*a, **kw):
+            calls.append(1)
+            if len(calls) == 2:
+                raise GeneratorCollapseError("round 1: filtering removed every candidate")
+            return real_run_llome(*a, **kw)
+
+        monkeypatch.setattr(cli, "run_llome", second_collapses)
+        rc = cli.main([*args, "--seeds", "2", "--out-dir", str(tmp_path / "both")])
+        assert rc == 3
+        assert "solver abort" in capsys.readouterr().err
+        stem = "llome-ehr-4-16-2-2-2-i1-s0"
+        suffixes = (".csv", ".json", ".curve.csv", ".rounds.json")
+        assert sorted(p.name for p in (tmp_path / "both").iterdir()) == sorted(
+            stem + suffix for suffix in suffixes)
+        for suffix in suffixes:
+            alone, both = ((tmp_path / d / (stem + suffix)).read_text().splitlines()
+                           for d in ("alone", "both"))
+            # the same files as a run of seed 0 alone, apart from the wall time
+            assert [l for l in alone if "duration_seconds" not in l] == \
+                [l for l in both if "duration_seconds" not in l]
 
     def test_bad_temperatures_exit_2(self, tmp_path, capsys):
         rc = cli.main(["run-llome", "--name", "Ehr(4,16)-2-2-2",
@@ -386,6 +439,38 @@ class TestReport:
         rc = cli.main(["report", "--records-dir", str(tmp_path)])
         assert rc == 2
 
+    def test_missing_records_dir_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        rc = cli.main(["report", "--records-dir", str(missing)])
+        assert rc == 2
+        assert f"records directory not found: {missing}" in capsys.readouterr().err
+
+    def test_out_naming_a_directory_exit_2_before_printing(self, run_dir, tmp_path, capsys):
+        rc = cli.main(["report", "--records-dir", str(run_dir), "--out", str(tmp_path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"output file is a directory: {tmp_path}" in captured.err
+        assert captured.out == ""
+
+    def test_out_mirror_naming_a_directory_exit_2_before_writing(self, run_dir, tmp_path,
+                                                                 capsys):
+        (tmp_path / "r.json").mkdir()
+        rc = cli.main(["report", "--records-dir", str(run_dir),
+                       "--out", str(tmp_path / "r.csv")])
+        assert rc == 2
+        assert f"output file is a directory: {tmp_path / 'r.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_out_under_a_file_exit_2_before_printing(self, run_dir, tmp_path, capsys):
+        target = tmp_path / "file.txt"
+        target.write_text("not a directory\n")
+        rc = cli.main(["report", "--records-dir", str(run_dir),
+                       "--out", str(target / "r.csv")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"output file's parent is not a directory: {target / 'r.csv'}" in captured.err
+        assert captured.out == ""
+
     def test_missing_record_file_exit_2(self, capsys):
         rc = cli.main(["report", "--records", "/nonexistent/run.csv"])
         assert rc == 2
@@ -447,28 +532,6 @@ class TestReport:
         rc = cli.main(["report", "--records", str(bad)])
         assert rc == 2
         assert f"'{key}' is not a valid" in capsys.readouterr().err
-
-
-class TestBench:
-    def test_reports_all_backends(self, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        rc = cli.main(["bench", "--name", INSTANCE, "--batch", "256",
-                       "--repeats", "1", "--out", str(out)])
-        assert rc == 0
-        text = out.read_text().splitlines()
-        assert text[:2] == ["# bench v1", "backend,seqs_per_sec"]
-        assert [line.split(",")[0] for line in text[2:]] == ["numpy"]
-        printed = capsys.readouterr().out
-        assert "seq/s" in printed and "faster" not in printed
-
-    @pytest.mark.parametrize("flag,value", [
-        ("--batch", "0"), ("--batch", "-1"), ("--repeats", "0"), ("--bench-seed", "-1"),
-    ])
-    def test_out_of_range_arguments_exit_2(self, flag, value, capsys):
-        rc = cli.main(["bench", "--name", INSTANCE, flag, value])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert flag in captured.err and "seq/s" not in captured.out
 
 
 class TestParserSurface:

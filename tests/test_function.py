@@ -295,20 +295,25 @@ class TestEvaluate:
         with pytest.raises(InvalidParamsError, match="tokens"):
             inst_4_16.evaluate(np.full(16, 9, dtype=np.int64))
 
+    @staticmethod
+    def batch_entry(f, entry, ledger):
+        if entry == "evaluate_batch":
+            return functools.partial(evaluate_batch, f)
+        if entry == "method":
+            return f.evaluate_batch
+        if entry == "ledger":
+            return ledger.evaluate_batch
+
+        def score(batch):
+            return np.array([is_feasible(row, f.transition) for row in batch],
+                            dtype=np.float64)
+        return score
+
     @pytest.mark.parametrize("entry", ["evaluate_batch", "method", "ledger", "is_feasible"])
     def test_batch_entry_rejects_out_of_range_tokens(self, inst_32_32, entry):
         f = inst_32_32
         ledger = EvalLedger(f)
-        if entry == "evaluate_batch":
-            score = functools.partial(evaluate_batch, f)
-        elif entry == "method":
-            score = f.evaluate_batch
-        elif entry == "ledger":
-            score = ledger.evaluate_batch
-        else:
-            def score(batch):
-                return np.array([is_feasible(row, f.transition) for row in batch],
-                                dtype=np.float64)
+        score = self.batch_entry(f, entry, ledger)
         # The optimum with one token just outside [0, v): -1 must not wrap
         # to v - 1 and v must not index past the mask.
         for bad in (-1, f.params.vocab_size):
@@ -319,6 +324,20 @@ class TestEvaluate:
         assert ledger.num_calls == 0
         empty = score(np.zeros((0, f.params.length), dtype=np.int64))
         assert empty.dtype == np.float64 and empty.shape == (0,)
+
+    @pytest.mark.parametrize("entry", ["evaluate_batch", "method", "ledger", "is_feasible"])
+    def test_batch_entry_rejects_non_integer_tokens(self, inst_32_32, entry):
+        f = inst_32_32
+        ledger = EvalLedger(f)
+        score = self.batch_entry(f, entry, ledger)
+        optimum = f.optimum[None, :]
+        # the optimum plus 0.5 used to truncate back to the optimum and score 1.0
+        for bad in (optimum + 0.5, optimum.astype(np.float64), optimum % 2 == 1,
+                    optimum.astype(object)):
+            with pytest.raises(InvalidParamsError, match="must be integers"):
+                score(bad)
+        assert ledger.num_calls == 0
+        assert score(optimum.astype(np.uint8)).tolist() == [1.0]
 
     def test_batch_matches_scalar(self, inst_32_32, rng):
         batch = rng.integers(0, 32, size=(64, 32))

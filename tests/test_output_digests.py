@@ -5,7 +5,8 @@ writes with a pinned digest. A record's ``duration_seconds`` line is the
 only one left out, because it is a wall time. The digests were computed
 with the string writers that formatted each distinct value in its own
 Python call, so a writer change that moves any byte of a record, mirror,
-curve, ``rounds.json`` or scored sequence file fails here.
+curve, ``rounds.json``, sweep table, Pareto report, round report or
+scored sequence file fails here.
 """
 
 import hashlib
@@ -40,6 +41,22 @@ RUN_LLOME = {
     ".rounds.json": "0ce9b6bf399ee05b7e6a3b7237d81487ae186f9518de225db175bc982e9aba89",
 }
 
+SWEEP_CELL = {
+    ".csv": "cb77b3f0cb9e0eb490beba6085d203b4761937172407c611ba8c5591d7fd9159",
+    ".json": "e927ad437a58b3fc520ea0a563afb6cc376ca0ef7761800d95a8c2783fe3dcff",
+    ".curve.csv": "ebd58b566d1d6f70fa60f36ff120ae36c295404ce87c153d039d194e77e58e38",
+}
+
+SWEEP_TABLES = {
+    "sweep-q-table.csv": "c8949e05e0a38e47dcd4d96b5f372276be91c027da87b4f9ab0117b24027d7db",
+    "sweep-q-pareto.csv": "784a045c1b1db4f1d8d86390b5f646f69317db482435bb5eb930a92c346c4dc2",
+}
+
+REPORT = {
+    ".csv": "6639bda4b821e2d927a534df02eb73e1b50496c74537bf1a8d324b3fd79725a7",
+    ".json": "c82e92df58fd5fe58f434788cecafc2155bb33aa2e25d049088caf040efefe02",
+}
+
 EVAL = "5cbcd896a4d639524d7a191619a6015469aa5e3ac30f9b81d3173ea8f7dcfcf4"
 
 
@@ -58,6 +75,29 @@ def test_run_llome_outputs(tmp_path, capsys):
                    "--seed-list", "5", "--out-dir", str(tmp_path)])
     assert rc == 0
     assert digests(tmp_path, "llome-ehr-4-16-2-2-2-i1-s5", RUN_LLOME) == RUN_LLOME
+
+
+@pytest.fixture(scope="module")
+def sweep_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep")
+    rc = cli.main(["sweep", "--axis", "q", "--values", "1,2", "--name", "Ehr(4,16)-2-2-2",
+                   "--instance-seed", "1", "--budget", "2000", "--particles", "50",
+                   "--seeds", "2", "--out-dir", str(out)])
+    assert rc == 0
+    return out
+
+
+def test_sweep_outputs(sweep_dir):
+    assert digests(sweep_dir, "sweep-q2-ehr-4-16-2-2-2-i1-s1", SWEEP_CELL) == SWEEP_CELL
+    assert {name: digest(sweep_dir / name) for name in SWEEP_TABLES} == SWEEP_TABLES
+
+
+def test_report_outputs(sweep_dir, tmp_path, capsys):
+    # the four sweep records, 39 GA steps each
+    out = tmp_path / "report.csv"
+    rc = cli.main(["report", "--records-dir", str(sweep_dir), "--out", str(out)])
+    assert rc == 0
+    assert digests(tmp_path, "report", REPORT) == REPORT
 
 
 def test_eval_output(tmp_path, capsys):

@@ -3,7 +3,6 @@
 import gc
 import json
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -558,17 +557,18 @@ class TestTableBytes:
         # each run's record is made up, so the medians cover inf, 1 - 1/3 and 0.0
         runs = {}
 
-        def fake_run(function, args, seed, budget, out_dir, run_id):
+        def fake_execute(function, run_id, solver, config, solve, out_dir):
+            budget = config["budget"]
             values = np.full(budget, -np.inf)
             values[budget // 2:] = 1.0 / 3.0
             values[-2:] = 1.0
             runs[run_id] = record = small_record(values, tokens=np.zeros((budget, 2)))
             return record
 
-        monkeypatch.setattr(cli, "_execute_ga_run", fake_run)
+        monkeypatch.setattr(cli, "_execute", fake_execute)
         rc = cli.main(["sweep", "--name", "Ehr(4,8)-2-2-2", "--instance-seed", "3",
                        "--axis", "q", "--values", "1,2", "--budget", "20",
-                       "--particles", "4", "--seeds", "2", "--out-dir", str(tmp_path)])
+                       "--particles", "20", "--seeds", "2", "--out-dir", str(tmp_path)])
         assert rc == 0
         marks = cli._checkpoints(20)
         medians = {}
@@ -582,15 +582,6 @@ class TestTableBytes:
         assert (tmp_path / "sweep-q-table.csv").read_text() == expected
         report = read_pareto_report(tmp_path / "sweep-q-pareto.csv")
         assert (tmp_path / "sweep-q-pareto.csv").read_text() == oracles.pareto_csv(report)
-
-    def test_bench(self, tmp_path, monkeypatch, capsys):
-        # two timer reads 3 s apart around 2 sequences: a rate of 2/3 per second
-        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=iter([0.0, 3.0]).__next__))
-        out = tmp_path / "bench.csv"
-        rc = cli.main(["bench", "--name", "Ehr(4,8)-2-2-2", "--batch", "2",
-                       "--repeats", "1", "--out", str(out)])
-        assert rc == 0
-        assert out.read_text() == oracles.bench_csv([("numpy", 2.0 / 3.0)])
 
 
 class TestReadRunRecord:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ehrlich import InvalidParamsError, rng
+from ehrlich import InvalidParamsError, ga, rng
 
 
 def test_same_path_reproduces():
@@ -50,6 +50,28 @@ def test_negative_seed_is_invalid_params():
     for seed in (-1, (-1, 2), np.int64(-5)):
         with pytest.raises(InvalidParamsError, match="non-negative"):
             rng.substream(seed)
+
+
+@pytest.mark.parametrize("seed", [(1.5, 2), (1, 2.0), (True, 2), ("1", 2)])
+def test_non_integer_tuple_element_rejected(seed):
+    # (1.5, 2) used to draw exactly as (1, 2)
+    with pytest.raises(InvalidParamsError, match="seed must be an integer"):
+        rng.substream(seed)
+    with pytest.raises(InvalidParamsError, match="seed must be an integer"):
+        rng.seed_path(seed, 3)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "7", None])
+def test_non_integer_scalar_seed_rejected(seed):
+    with pytest.raises(InvalidParamsError, match="seed must be an integer"):
+        rng.substream(seed)
+    # it used to raise a raw TypeError from the public sampler
+    with pytest.raises(InvalidParamsError, match="seed must be an integer"):
+        ga.mutate(np.zeros((2, 4), dtype=np.int64), 0.5, 1, 4, seed=seed)
+
+
+def test_numpy_integer_seeds_accepted():
+    assert rng.seed_path((np.int64(7), np.uint8(3)), np.int32(1)) == (7, 3, 1)
 
 
 def test_stream_constants_distinct():
