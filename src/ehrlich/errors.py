@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numbers
 
+import numpy as np
+
 
 class EhrlichError(Exception):
     """Base class for all package errors."""
@@ -51,6 +53,23 @@ def require_integers(**values) -> None:
     for name, value in values.items():  # the message is built only on failure
         if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+
+
+def require_counts(minimum: int, /, **counts) -> None:
+    """Raise ``InvalidParamsError`` unless each count is an integer >= ``minimum``."""
+    require_integers(**counts)
+    for name, value in counts.items():
+        require(value >= minimum, f"{name} must be >= {minimum}, got {value}")
+
+
+def require_probability(name: str, p, length: int | None = None) -> None:
+    """Raise ``InvalidParamsError`` unless ``p`` is a probability in [0, 1], or
+    a (length,) array of them when ``length`` is given; NaN, ``True`` and
+    ``"0.5"`` are not."""
+    array = np.asarray(p)
+    if (array.dtype.kind not in "iuf" or array.shape not in ((), (length,))
+            or not ((array >= 0) & (array <= 1)).all()):
+        raise InvalidParamsError(f"{name} must be a probability in [0, 1], got {p!r}")
 
 
 def require_seed(seed) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import (ConstructionError, GenerationError, InvalidParamsError, require,
-                     require_integers, require_seed)
+                     require_counts, require_integers, require_seed)
 from .kernels import feasible_rows, score_batch
 
 NAME_PATTERN = re.compile(r"^Ehr\((\d+),(\d+)\)-(\d+)-(\d+)-(\d+)$")
@@ -56,12 +56,10 @@ class EhrlichParams:
     def __post_init__(self) -> None:
         v, L = self.vocab_size, self.length
         c, k, q = self.num_motifs, self.motif_length, self.quantization
-        require_integers(vocab_size=v, length=L, num_motifs=c, motif_length=k, quantization=q)
-        require(v >= 2, f"vocab_size must be >= 2, got {v}")
+        require_integers(quantization=q)
+        require_counts(2, vocab_size=v, length=L)
+        require_counts(1, num_motifs=c, motif_length=k)
         require(v <= 1024, f"vocab_size must be <= 1024, got {v}")
-        require(L >= 2, f"length must be >= 2, got {L}")
-        require(c >= 1, f"num_motifs must be >= 1, got {c}")
-        require(k >= 1, f"motif_length must be >= 1, got {k}")
         require(c * k <= L, f"num_motifs * motif_length must be <= length: {c}*{k} > {L}")
         require(1 <= q <= k, f"quantization must be in [1, motif_length], got {q}")
         require(k % q == 0, f"quantization must divide motif_length: q={q}, k={k}")
@@ -208,13 +206,14 @@ class SpacedMotifs:
 
 @dataclass(frozen=True)
 class ScoredSequence:
-    """A sequence paired with its objective value (-inf iff infeasible)."""
+    """A sequence paired with its objective value (-inf iff infeasible); it
+    knows no instance, so its (L,) tokens keep their integer dtype."""
 
     tokens: np.ndarray
     value: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tokens", np.asarray(self.tokens, dtype=np.int64))
+        object.__setattr__(self, "tokens", as_tokens(self.tokens, None, ndims=(1,)))
 
 
 @dataclass(frozen=True)
@@ -461,13 +460,9 @@ def generate(params: EhrlichParams) -> EhrlichFunction:
 
 
 def is_feasible(tokens: np.ndarray, transition: TransitionMatrix) -> bool:
-    """True iff every adjacent transition in the sequence is allowed.
-
-    Raises ``InvalidParamsError`` for a token array that is not of an
-    integer dtype or holds a token outside [0, v).
-    """
-    tokens = _int_tokens(tokens)
-    require_tokens_in_range(tokens, transition.mask.shape[0])
+    """True iff every adjacent transition in the one sequence is allowed;
+    ``InvalidParamsError`` for tokens ``as_tokens`` refuses."""
+    tokens = as_tokens(tokens, transition.vocab_size, ndims=(1,))
     return bool(feasible_rows(tokens[None, :], transition.mask)[0])
 
 
@@ -514,24 +509,19 @@ def evaluate(function: EhrlichFunction, tokens) -> float:
 
     The one-row form of ``evaluate_batch``, with its checks.
     """
-    return float(evaluate_batch(function, np.asarray(tokens)[None, :])[0])
+    return float(evaluate_batch(function, as_tokens(tokens, None, ndims=(1,))[None, :])[0])
 
 
 def evaluate_batch(function: EhrlichFunction, tokens: np.ndarray) -> np.ndarray:
     """f over an (N, L) token array; the only entry into the scoring kernel.
 
-    Raises ``InvalidParamsError`` unless the batch is of an integer dtype,
-    has shape (N, L) and every token lies in [0, v). The kernel indexes the
-    transition mask with tokens and assumes these checks have been made.
+    Raises ``InvalidParamsError`` for tokens ``as_tokens`` refuses. The
+    kernel indexes the transition mask with tokens and assumes these
+    checks have been made.
     """
     params = function.params
-    tokens = np.ascontiguousarray(_int_tokens(tokens))
-    require(tokens.ndim == 2 and tokens.shape[1] == params.length,
-            f"batch must have shape (N, {params.length}) for sequence length "
-            f"{params.length}, got {tokens.shape}")
-    require_tokens_in_range(tokens, params.vocab_size)
     return score_batch(
-        tokens,
+        as_tokens(tokens, params.vocab_size, params.length),
         function.transition.mask,
         function.motifs.motifs,
         function.motifs.offsets,
@@ -541,26 +531,39 @@ def evaluate_batch(function: EhrlichFunction, tokens: np.ndarray) -> np.ndarray:
     )
 
 
-def _int_tokens(tokens) -> np.ndarray:
-    """``tokens`` as an int64 array; ``InvalidParamsError`` unless its dtype is
-    an integer one. Float, bool and object arrays are refused rather than
-    truncated, which would score a different sequence."""
-    tokens = np.asarray(tokens)
-    if tokens.dtype.kind not in "iu":  # the message is built only on failure: str(dtype) is slow
-        raise InvalidParamsError(f"sequence tokens must be integers, got dtype {tokens.dtype}")
-    return tokens.astype(np.int64, copy=False)
+def token_dtype(vocab_size: int) -> np.dtype:
+    """The one token dtype of a vocabulary of size v: the smallest unsigned
+    dtype that holds v - 1, uint8 when v <= 256 and uint16 up to 1024."""
+    return np.min_scalar_type(vocab_size - 1)
 
 
-def require_tokens_in_range(tokens: np.ndarray, vocab_size: int) -> None:
-    """The one token range check: every token lies in [0, vocab_size).
+def as_tokens(tokens, vocab_size: int | None, length: int | None = None,
+              ndims: tuple = (2,)) -> np.ndarray:
+    """The one token check: ``tokens`` converted once to ``token_dtype(vocab_size)``.
 
-    The kernel and the feasibility helper index the transition mask with
-    tokens, so a negative token would wrap and one >= v would overflow.
+    Any integer dtype is accepted. Float, bool, object, string and ragged
+    input is refused, not truncated to another sequence; so are a rank
+    not in ``ndims``, rows not ``length`` long and tokens outside [0, v),
+    which would index past the transition mask. With ``vocab_size=None``
+    (a holder that knows no instance) tokens keep their dtype and values.
     """
+    try:
+        tokens = np.asarray(tokens)
+    except ValueError:
+        raise InvalidParamsError("sequence tokens must form a rectangular array") from None
+    if (tokens.dtype.kind not in "iu" or tokens.ndim not in ndims
+            or (length is not None and tokens.shape[-1] != length)):
+        # the message is built only on failure: str(dtype) is slow
+        raise InvalidParamsError(
+            f"sequence tokens must be integers, {' or '.join(map(str, ndims))}-D, of length "
+            f"{length or 'L'}; got dtype {tokens.dtype} and shape {tokens.shape}")
+    if vocab_size is None:
+        return tokens
     if tokens.size:
         low, high = int(tokens.min()), int(tokens.max())
         require(low >= 0 and high < vocab_size,
                 f"sequence tokens must lie in [0, {vocab_size}), got [{low}, {high}]")
+    return tokens.astype(token_dtype(vocab_size), copy=False)
 
 
 def regret(function: EhrlichFunction, tokens) -> float:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import require, require_integers, require_seed
-from .function import ScoredSequence, incumbent_of
+from .errors import require, require_counts, require_probability, require_seed
+from .function import ScoredSequence, as_tokens, incumbent_of
 
 PHASE_MUTATE = 0
 PHASE_RECOMBINE = 1
@@ -36,15 +36,12 @@ class GAConfig:
     def __post_init__(self) -> None:
         n = self.num_particles
         alpha = self.survival_quantile
-        require_integers(num_particles=n)
-        require(n >= 2, f"num_particles must be >= 2, got {n}")
+        require_counts(2, num_particles=n)
         require(alpha < 1, f"survival_quantile must be < 1, got {alpha}")
         require(alpha * n >= 2,
                 f"survival_quantile * num_particles must be >= 2, got {alpha * n:.3g}")
-        require(0.0 <= self.mutation_prob <= 1.0,
-                f"mutation_prob must be in [0, 1], got {self.mutation_prob}")
-        require(0.0 <= self.recombination_prob <= 1.0,
-                f"recombination_prob must be in [0, 1], got {self.recombination_prob}")
+        require_probability("mutation_prob", self.mutation_prob)
+        require_probability("recombination_prob", self.recombination_prob)
         require_seed(self.seed)
 
 
@@ -67,14 +64,18 @@ def mutate(sequences, mutation_prob, n_per: int, vocab_size: int,
     mutation_prob (a scalar, or one per position as an (L,) array) by a
     uniform draw over [0, vocab_size); the draw may equal the original
     token, so the realized change rate is mutation_prob * (1 - 1/vocab_size).
-    Both solvers draw their substitutions here.
+    Both solvers draw here; int64 draws are cast into ``token_dtype(vocab_size)``.
     """
-    sequences = np.atleast_2d(np.asarray(sequences, dtype=np.int64))
+    require_counts(0, n_per=n_per)
+    require_counts(1, vocab_size=vocab_size)
+    sequences = np.atleast_2d(as_tokens(sequences, vocab_size, ndims=(1, 2)))
+    require_probability("mutation_prob", mutation_prob, sequences.shape[1])
     gen = rng.substream(seed)
     tiled = np.repeat(sequences, n_per, axis=0)
     fire = gen.random(tiled.shape) < mutation_prob
     replacements = gen.integers(0, vocab_size, size=tiled.shape)
-    return np.where(fire, replacements, tiled)
+    np.copyto(tiled, replacements, where=fire, casting="unsafe")
+    return tiled
 
 
 def recombine(survivors, recombination_prob: float, count: int,
@@ -82,9 +83,11 @@ def recombine(survivors, recombination_prob: float, count: int,
     """Draw `count` children from two parent lists sampled with replacement.
 
     A Bernoulli(recombination_prob) mask picks parent 1's token per
-    position, parent 2's otherwise.
+    position, parent 2's otherwise. Children keep the survivors' dtype.
     """
-    survivors = np.atleast_2d(np.asarray(survivors, dtype=np.int64))
+    survivors = np.atleast_2d(as_tokens(survivors, None, ndims=(1, 2)))
+    require_counts(0, count=count)
+    require_probability("recombination_prob", recombination_prob)
     require(survivors.shape[0] >= 1, "recombine requires at least one survivor")
     gen = rng.substream(seed)
     num = survivors.shape[0]
@@ -105,7 +108,7 @@ def survival_threshold(values: np.ndarray, survival_quantile: float) -> float:
 
 def init_ga(function, config: GAConfig) -> GAState:
     """Score the instance's starting sequence and spawn the population from it."""
-    x0 = function.initial_solution().reshape(1, -1)
+    x0 = as_tokens(function.initial_solution()[None, :], function.params.vocab_size)
     incumbent = incumbent_of(x0, function.evaluate_batch(x0))
     population = mutate(
         x0,

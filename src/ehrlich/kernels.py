@@ -4,21 +4,20 @@ scoring over all window starts, in numpy.
 Values are float64: the product of per-motif responses for feasible
 sequences, ``-inf`` for infeasible ones.
 
-The kernel assumes validated input: an (N, L) int64 batch with every
+The kernel assumes validated input: an (N, L) batch in the token dtype
+(``function.token_dtype``, uint8 when v <= 256, else uint16) with every
 token in [0, v). ``function.evaluate_batch`` is the only validating
-entry; it raises ``InvalidParamsError`` for a bad shape or a token
-outside [0, v). Called directly on unchecked tokens, the kernel's
-narrowing cast wraps them.
+entry; through ``function.as_tokens`` it raises ``InvalidParamsError``
+for a bad dtype, shape or token and converts the batch once.
 
-The kernel narrows internally: it casts the batch once to the smallest
-unsigned dtype that holds v - 1 (the dtype ``EvalLedger`` stores),
-transposes it to (L, N) so that each shifted comparison is one
-contiguous block, finds the feasible rows with ``feasible_rows`` and
-scores only those, counting matches in the smallest dtype that holds k
-(uint8 when k <= 255). Each row's response g(h) is looked up in a table
-computed with the per-row float ops for every count 0..k, so every
-feasible row is 1.0 times the same responses in the same motif order
-as the per-row loop the tests keep as the reference.
+The kernel transposes the batch to (L, N), so that each shifted
+comparison is one contiguous block, finds the feasible rows with
+``feasible_rows`` and scores only those, counting matches in the
+smallest dtype that holds k (uint8 when k <= 255). Each row's response
+g(h) is looked up in a table computed with the per-row float ops for
+every count 0..k, so every feasible row is 1.0 times the same responses
+in the same motif order as the per-row loop the tests keep as the
+reference.
 """
 
 from __future__ import annotations
@@ -64,13 +63,12 @@ def score_batch(tokens, mask, motifs, offsets, divisor, q, a):
     contract and the layout it scores in."""
     num_seqs, length = tokens.shape
     num_motifs, motif_len = motifs.shape
-    token_dtype = np.min_scalar_type(mask.shape[0] - 1)
     # (L, N): every shifted comparison below is then one contiguous block
-    columns = np.ascontiguousarray(tokens.astype(token_dtype).T)
+    columns = np.ascontiguousarray(tokens.T)
     rows = np.flatnonzero(feasible_rows(columns.T, mask))
     if rows.size < num_seqs:
         columns = np.take(columns, rows, axis=1)
-    motifs = motifs.astype(token_dtype)
+    motifs = motifs.astype(tokens.dtype)
     # g(h) for each best-window match count 0..k, by the per-row float ops
     h = (np.arange(motif_len + 1) // divisor) / q
     response = a * h * h * h - a * h * h + h

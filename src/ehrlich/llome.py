@@ -15,13 +15,14 @@ come from the generator itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rng
-from .errors import GeneratorCollapseError, require, require_integers, require_seed
-from .function import ScoredSequence, incumbent_of, regret_of_value, require_tokens_in_range
+from .errors import (GeneratorCollapseError, require, require_counts, require_probability,
+                     require_seed)
+from .function import ScoredSequence, as_tokens, incumbent_of, regret_of_value, token_dtype
 from .ga import GAConfig, run_ga
 from .kernels import feasible_rows
 from .losses import margin_reward
@@ -30,17 +31,17 @@ from .records import EvalLedger
 
 @dataclass(frozen=True)
 class ScoredSet:
-    """Token batch with objective values (-inf marks infeasible)."""
+    """Token batch with objective values (-inf marks infeasible); it knows
+    no instance, so its (N, L) tokens keep their integer dtype."""
 
     tokens: np.ndarray
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        tokens = np.asarray(self.tokens, dtype=np.int64)
+        tokens = as_tokens(self.tokens, None)
         values = np.asarray(self.values, dtype=np.float64)
         object.__setattr__(self, "tokens", tokens)
         object.__setattr__(self, "values", values)
-        require(tokens.ndim == 2, f"tokens must be (N, L), got shape {tokens.shape}")
         require(values.shape == (tokens.shape[0],),
                 f"values shape {values.shape} must be ({tokens.shape[0]},)")
 
@@ -54,34 +55,32 @@ class RefinementDataset:
 
     Every pair (x, y) satisfies fractional Hamming distance <= the
     threshold and f(y) > f(x); triples add a non-improving neighbor
-    with f(x) >= f(loser).
+    with f(x) >= f(loser). ``pairs`` (P, 2) and ``triples`` (T, 3) are int32
+    row indices into ``tokens``, the scored set's own array, read by gathering.
     """
 
-    pair_inputs: np.ndarray
-    pair_targets: np.ndarray
-    triple_inputs: np.ndarray
-    triple_winners: np.ndarray
-    triple_losers: np.ndarray
+    tokens: np.ndarray
+    pairs: np.ndarray
+    triples: np.ndarray
     distance_threshold: float = 0.25
     num_neighbors: int = 30
 
-    @property
-    def num_pairs(self) -> int:
-        return self.pair_inputs.shape[0]
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", as_tokens(self.tokens, None))
+        for name, width in (("pairs", 2), ("triples", 3)):
+            index = getattr(self, name)
+            require(isinstance(index, np.ndarray) and index.dtype == np.int32
+                    and index.shape[1:] == (width,)
+                    and (index.size == 0 or 0 <= index.min() <= index.max() < len(self.tokens)),
+                    f"{name} must be an int32 (n, {width}) array of row indices")
 
-    @property
-    def num_triples(self) -> int:
-        return self.triple_inputs.shape[0]
-
-
-def _require_counts(**counts) -> None:
-    require_integers(**counts)
-    for name, value in counts.items():
-        require(value >= 1, f"{name} must be >= 1, got {value}")
-
-
-def _require_distance_threshold(delta_x: float) -> None:
-    require(0.0 <= delta_x <= 1.0, f"distance_threshold must be in [0, 1], got {delta_x}")
+    pair_inputs = property(lambda self: self.tokens[self.pairs[:, 0]])
+    pair_targets = property(lambda self: self.tokens[self.pairs[:, 1]])
+    triple_inputs = property(lambda self: self.tokens[self.triples[:, 0]])
+    triple_winners = property(lambda self: self.tokens[self.triples[:, 1]])
+    triple_losers = property(lambda self: self.tokens[self.triples[:, 2]])
+    num_pairs = property(lambda self: self.pairs.shape[0])
+    num_triples = property(lambda self: self.triples.shape[0])
 
 
 def _require_infeasible_fraction(p_max_infeas: float) -> None:
@@ -106,7 +105,7 @@ class LoopConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _require_counts(**{name: getattr(self, name) for name in (
+        require_counts(1, **{name: getattr(self, name) for name in (
             "rounds", "evals_per_round", "presolver_rounds", "seeds_per_round",
             "refine_iters", "samples_per_iter", "num_neighbors")})
         require(len(self.base_temperatures) >= 1, "base_temperatures must be nonempty")
@@ -118,7 +117,7 @@ class LoopConfig:
         _require_infeasible_fraction(self.max_infeasible_fraction)
         require(self.dataset_mode in ("pairs", "triples"),
                 f"dataset_mode must be 'pairs' or 'triples', got {self.dataset_mode!r}")
-        _require_distance_threshold(self.distance_threshold)
+        require_probability("distance_threshold", self.distance_threshold)
         require_seed(self.seed)
 
     def log_likelihood_floor(self, length: int) -> float:
@@ -137,7 +136,7 @@ class CandidateSet:
     ``num_generated`` counts proposals before deduplication and
     ``mean_edit_fraction`` is the average fractional Hamming distance
     between chain inputs and their proposals (drives temperature
-    adjustment next round).
+    adjustment next round). Tokens keep the generator's integer dtype.
     """
 
     tokens: np.ndarray
@@ -146,6 +145,9 @@ class CandidateSet:
     seed_values: np.ndarray
     num_generated: int = 0
     mean_edit_fraction: float = 0.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tokens", as_tokens(self.tokens, None))
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -212,8 +214,8 @@ class LlomeResult:
         return regret_of_value(self.best.value)
 
 
-# (anchor, labeled row) keys format_dataset holds at once, in row blocks;
-# each is one float32 (or float64) key.
+# (anchor, labeled row) float32 (or float64) keys, plus in triples mode kk * kk
+# (winner, loser) cells per anchor, that format_dataset holds at once.
 _BLOCK_ELEMENTS = 1 << 21
 # Integers below this are exact in float32; k-NN keys stay below (L+1)*n.
 _FLOAT32_EXACT = 1 << 24
@@ -222,7 +224,7 @@ _FLOAT32_EXACT = 1 << 24
 def _position_one_hot(tokens: np.ndarray, dtype) -> np.ndarray:
     """(N, W) indicator of each row's (position, token) pairs.
 
-    W counts the distinct pairs present, so any int64 token values work,
+    W counts the distinct pairs present, so any integer token values work,
     and the dot product of two rows is their number of matching positions.
     """
     n, length = tokens.shape
@@ -254,13 +256,13 @@ def format_dataset(scored: ScoredSet, mode: str = "pairs",
     float32 while (L+1) * n < 2**24, and runs in float64 beyond that.
     """
     require(mode in ("pairs", "triples"), f"mode must be 'pairs' or 'triples', got {mode!r}")
-    _require_distance_threshold(delta_x)
-    _require_counts(num_neighbors=k_n)
+    require_probability("distance_threshold", delta_x)
+    require_counts(1, num_neighbors=k_n)
     require(len(scored) >= 1, "scored set must be nonempty")
     tokens, values = scored.tokens, scored.values
     n, length = tokens.shape
-    pairs: list[tuple[np.ndarray, ...]] = []
-    triples: list[tuple[np.ndarray, ...]] = []
+    pairs = [np.empty((0, 2), dtype=np.int32)]
+    triples = [np.empty((0, 3), dtype=np.int32)]
     if n >= 2:
         key_dtype = np.float32 if (length + 1) * n < _FLOAT32_EXACT else np.float64
         one_hot = _position_one_hot(tokens, key_dtype)
@@ -275,7 +277,7 @@ def format_dataset(scored: ScoredSet, mode: str = "pairs",
         del one_hot
         kk = min(k_n, n - 1)
         max_dist = delta_x * length
-        block = max(1, _BLOCK_ELEMENTS // n)
+        block = max(1, _BLOCK_ELEMENTS // (n if mode == "pairs" else n + kk * kk))
         for start in range(0, n, block):
             anchors = np.arange(start, min(start + block, n))
             keys = anchor_side[start:start + block] @ labeled_side.T
@@ -294,22 +296,16 @@ def format_dataset(scored: ScoredSet, mode: str = "pairs",
             non_improving = in_range & (anchor_values >= neighbor_values)
             # np.nonzero walks row-major: anchor, then neighbor order.
             row, col = np.nonzero(improving)
-            pairs.append((anchors[row], neighbor_ids[row, col]))
+            pairs.append(np.column_stack((anchors[row], neighbor_ids[row, col])))
             if mode == "triples":
                 row, win, lose = np.nonzero(improving[:, :, None] & non_improving[:, None, :])
-                triples.append((anchors[row], neighbor_ids[row, win], neighbor_ids[row, lose]))
-
-    def rows(parts: list, column: int) -> np.ndarray:
-        if not parts:
-            return np.empty((0, length), dtype=np.int64)
-        return tokens[np.concatenate([part[column] for part in parts])]
+                triples.append(np.column_stack(
+                    (anchors[row], neighbor_ids[row, win], neighbor_ids[row, lose])))
 
     return RefinementDataset(
-        pair_inputs=rows(pairs, 0),
-        pair_targets=rows(pairs, 1),
-        triple_inputs=rows(triples, 0),
-        triple_winners=rows(triples, 1),
-        triple_losers=rows(triples, 2),
+        tokens=tokens,
+        pairs=np.concatenate(pairs, dtype=np.int32),
+        triples=np.concatenate(triples, dtype=np.int32),
         distance_threshold=delta_x,
         num_neighbors=k_n,
     )
@@ -321,8 +317,7 @@ def adjust_temperatures(base, prev_mean_hamming: float) -> tuple:
     Mean fractional edit distance below 0.075 adds 0.6; [0.075, 0.1)
     adds 0.4; [0.1, 0.125) adds 0.2; anything higher keeps the base.
     """
-    require(0.0 <= prev_mean_hamming <= 1.0,
-            f"prev_mean_hamming must be in [0, 1], got {prev_mean_hamming}")
+    require_probability("prev_mean_hamming", prev_mean_hamming)
     if prev_mean_hamming < 0.075:
         bump = 0.6
     elif prev_mean_hamming < 0.1:
@@ -332,15 +327,6 @@ def adjust_temperatures(base, prev_mean_hamming: float) -> tuple:
     else:
         bump = 0.0
     return tuple(t + bump for t in base)
-
-
-def _narrow_dtype(tokens: np.ndarray) -> np.dtype:
-    """Smallest integer dtype holding every value of ``tokens`` exactly."""
-    lo, hi = (int(tokens.min()), int(tokens.max())) if tokens.size else (0, 0)
-    for dtype in (np.uint8, np.int8, np.uint16, np.int16, np.int32):
-        if np.iinfo(dtype).min <= lo and hi <= np.iinfo(dtype).max:
-            return np.dtype(dtype)
-    return np.dtype(np.int64)
 
 
 def _dedupe(rows: np.ndarray, logliks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,7 +408,7 @@ def iterative_refinement(generator, scored: ScoredSet, config: LoopConfig,
         flat_logliks = np.array(logliks, dtype=np.float64).reshape(count)
         require(not np.isnan(flat_logliks).any(), "generator returned a NaN log-likelihood")
         batches.append((
-            flat.astype(_narrow_dtype(flat)),
+            as_tokens(flat, None),
             flat_logliks,
             np.repeat(np.arange(proposals.shape[0]), proposals.shape[1]),
         ))
@@ -443,16 +429,13 @@ def iterative_refinement(generator, scored: ScoredSet, config: LoopConfig,
             picks = np.argmax(logliks, axis=1)
             inputs = proposals[np.arange(num_seeds), picks, :]
 
-    length = scored.tokens.shape[1]
     if not batches:
-        empty = np.empty((0, length), dtype=np.int64)
-        return CandidateSet(empty, np.empty(0), np.empty(0, np.int64),
-                            np.empty(0), num_generated=generated,
-                            mean_edit_fraction=0.0)
+        return CandidateSet(scored.tokens[:0], np.empty(0), np.empty(0, np.int64),
+                            np.empty(0), num_generated=generated)
     rows, logliks, seed_idx = (np.concatenate(parts) for parts in zip(*batches))
     first, winner = _dedupe(rows, logliks)
     return CandidateSet(
-        tokens=rows[first].astype(np.int64),
+        tokens=rows[first],
         logliks=logliks[winner],
         seed_indices=seed_idx[winner],
         seed_values=seed_values[seed_idx[winner]],
@@ -469,13 +452,13 @@ def filter_candidates(candidates: CandidateSet, mask: np.ndarray, j: int,
     Keeps candidates with log-likelihood strictly above the floor, caps
     the infeasible count at floor(feasible * p/(1-p)) by seeded uniform
     subsampling, then uniformly subsamples to at most j. Output
-    preserves the candidate order (ascending original index). Raises
-    ``InvalidParamsError`` when a candidate token lies outside [0, v),
-    v being the mask's size.
+    preserves the candidate order (ascending original index), with the
+    tokens in the token dtype of v, the mask's size. Raises
+    ``InvalidParamsError`` when a candidate token lies outside [0, v).
     """
-    _require_counts(j=j)
+    require_counts(1, j=j)
     _require_infeasible_fraction(p_max_infeas)
-    require_tokens_in_range(candidates.tokens, mask.shape[0])
+    candidates = replace(candidates, tokens=as_tokens(candidates.tokens, mask.shape[0]))
     keep = np.flatnonzero(candidates.logliks > log_p_min)
     if keep.size == 0:
         return candidates.take(keep)
@@ -505,11 +488,12 @@ def run_presolver(function, ga_config: GAConfig, presolver_rounds: int) -> Preso
     (presolver_rounds - 1) full steps are scored. Everything scored is
     returned as labeled data.
     """
-    _require_counts(presolver_rounds=presolver_rounds)
+    require_counts(1, presolver_rounds=presolver_rounds)
     ledger = EvalLedger(function)
     run_ga(ledger, ga_config, budget=presolver_rounds * ga_config.num_particles,
            stop_on_optimum=False)
-    return PresolverData(scored=ScoredSet(tokens=ledger.tokens(), values=ledger.values()))
+    tokens = ledger.tokens(token_dtype(function.params.vocab_size))
+    return PresolverData(scored=ScoredSet(tokens=tokens, values=ledger.values()))
 
 
 def run_llome(function, generator, config: LoopConfig,

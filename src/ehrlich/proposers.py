@@ -25,7 +25,8 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from . import rng
-from .errors import InvalidParamsError, ParseError
+from .errors import ParseError, require, require_counts
+from .function import as_tokens
 # Bound by name: replacing ``ga.mutate``, as a tracer does, leaves proposals out.
 from .ga import mutate
 
@@ -47,13 +48,9 @@ class ProposalGenerator(Protocol):
         ...
 
 
-def _as_batch(inputs: np.ndarray) -> np.ndarray:
-    inputs = np.asarray(inputs, dtype=np.int64)
-    if inputs.ndim == 1:
-        inputs = inputs[None, :]
-    if inputs.ndim != 2:
-        raise InvalidParamsError(f"inputs must be (B, L), got shape {inputs.shape}")
-    return inputs
+def _as_batch(inputs, vocab_size: int | None = None, length: int | None = None) -> np.ndarray:
+    """(B, L) tokens through ``as_tokens``; one (L,) sequence is a batch of one."""
+    return np.atleast_2d(as_tokens(inputs, vocab_size, length, ndims=(1, 2)))
 
 
 @dataclass(frozen=True)
@@ -75,26 +72,24 @@ class MutationProposer:
     position_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.mutation_rate < 1.0:
-            raise InvalidParamsError(
-                f"mutation_rate must be in (0, 1), got {self.mutation_rate}"
-            )
-        weights = self.position_weights
-        if weights is None:
-            weights = np.ones(self.length)
+        require(0.0 < self.mutation_rate < 1.0,
+                f"mutation_rate must be in (0, 1), got {self.mutation_rate}")
+        require_counts(1, vocab_size=self.vocab_size, length=self.length)
+        weights = np.ones(self.length) if self.position_weights is None else self.position_weights
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (self.length,) or (weights < 0).any():
-            raise InvalidParamsError("position_weights must be nonnegative with shape (length,)")
+        require(weights.shape == (self.length,) and bool((weights >= 0).all()),
+                "position_weights must be nonnegative with shape (length,)")
         object.__setattr__(self, "position_weights", weights)
 
     def edit_probabilities(self, temperature: float) -> np.ndarray:
+        require(np.isfinite(temperature) and temperature >= 0,
+                f"temperature must be finite and >= 0, got {temperature!r}")
         return np.clip(temperature * self.mutation_rate * self.position_weights, 0.0, 1.0)
 
     def propose(self, inputs, temperature, count, seed: rng.SeedLike = 0):
-        inputs = _as_batch(inputs)
+        """(B, count, L) proposals in the token dtype, and their log-likelihoods."""
+        inputs = _as_batch(inputs, self.vocab_size, self.length)
         batch, length = inputs.shape
-        if length != self.length:
-            raise InvalidParamsError(f"inputs must have length {self.length}, got {length}")
         edit_p = self.edit_probabilities(temperature)
         proposals = mutate(inputs, edit_p, count, self.vocab_size, seed)
         proposals = proposals.reshape(batch, count, length)
@@ -109,12 +104,10 @@ class MutationProposer:
         return np.where(same, log_same, log_diff).sum(axis=-1)
 
     def score_likelihood(self, inputs, outputs, temperature: float = 1.0):
-        inputs = _as_batch(inputs)
-        outputs = _as_batch(outputs)
-        if inputs.shape != outputs.shape:
-            raise InvalidParamsError(
-                f"inputs and outputs must have equal shapes, got {inputs.shape} vs {outputs.shape}"
-            )
+        inputs = _as_batch(inputs, self.vocab_size, self.length)
+        outputs = _as_batch(outputs, self.vocab_size, self.length)
+        require(inputs.shape == outputs.shape,
+                f"inputs and outputs must have equal shapes, got {inputs.shape} vs {outputs.shape}")
         return self._loglik(inputs, outputs, self.edit_probabilities(temperature))
 
     def train(self, dataset) -> "MutationProposer":
@@ -236,7 +229,7 @@ class StdioProposer:
         return parse_completion(line, self.length, self.vocab_size)
 
     def propose(self, inputs, temperature, count, seed: rng.SeedLike = 0):
-        inputs = _as_batch(inputs)
+        inputs = _as_batch(inputs, self.vocab_size, self.length)
         batch = inputs.shape[0]
         proposals = np.empty((batch, count, self.length), dtype=np.int64)
         logliks = np.empty((batch, count))
@@ -246,7 +239,7 @@ class StdioProposer:
         return proposals, logliks
 
     def score_likelihood(self, inputs, outputs, temperature: float = 1.0):
-        inputs = _as_batch(inputs)
+        inputs = _as_batch(inputs, self.vocab_size, self.length)
         return np.zeros(inputs.shape[0])
 
     def train(self, dataset) -> "StdioProposer":

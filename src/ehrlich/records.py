@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParseError, require
-from .function import regret_of_value
+from .function import regret_of_value, token_dtype
 from .instance_io import read_text
 from .losses import margin_reward
 from .tables import _row_blocks, format_table, read_table
@@ -85,7 +85,7 @@ class EvalLedger:
 
     A run's record is built from its one ledger: values, first-occurrence
     flags and per-batch round labels all come from here. Rows are kept in
-    the narrowest unsigned dtype that holds every token (uint8 when
+    the instance's token dtype (``function.token_dtype``: uint8 when
     v <= 256, else uint16), and each batch's flags are streamed through
     :func:`unique_flags` as it arrives, against one set of the rows
     recorded before it.
@@ -93,7 +93,7 @@ class EvalLedger:
 
     def __init__(self, function):
         self._function = function
-        self._dtype = np.min_scalar_type(function.params.vocab_size - 1)
+        self._dtype = token_dtype(function.params.vocab_size)
         self._tokens: list[np.ndarray] = []
         self._values: list[np.ndarray] = []
         self._unique: list[np.ndarray] = []
@@ -112,8 +112,8 @@ class EvalLedger:
 
     def evaluate_batch(self, tokens: np.ndarray) -> np.ndarray:
         values = self._function.evaluate_batch(tokens)
-        # the function has range-checked every token, so the narrow copy is exact
-        rows = np.asarray(tokens, dtype=np.int64).astype(self._dtype)
+        # the function has checked every token, so this one copy is exact
+        rows = np.array(tokens, dtype=self._dtype)
         self._unique.append(unique_flags(rows, self._seen))
         self._tokens.append(rows)
         self._values.append(np.array(values, dtype=np.float64))
@@ -127,11 +127,11 @@ class EvalLedger:
     def num_calls(self) -> int:
         return len(self._values)
 
-    def tokens(self) -> np.ndarray:
-        """Every recorded row, in call order, as int64."""
+    def tokens(self, dtype=np.int64) -> np.ndarray:
+        """Every recorded row, in call order, as int64 or ``dtype``."""
         if not self._tokens:
-            return np.zeros((0, self._function.params.length), dtype=np.int64)
-        return np.concatenate(self._tokens, axis=0, dtype=np.int64)
+            return np.zeros((0, self._function.params.length), dtype=dtype)
+        return np.concatenate(self._tokens, axis=0, dtype=dtype)
 
     def values(self) -> np.ndarray:
         if not self._values:

@@ -434,7 +434,7 @@ class TestRefinementDedupMatchesReference:
         want_tokens, want_logliks, want_seeds, want_values = oracles.dedupe_proposals(
             proposer.batches, values[order])
         assert len(out) < out.num_generated  # repeats were merged
-        assert out.tokens.dtype == np.int64
+        assert out.tokens.dtype == proposer.batches[0][0].dtype  # the generator's, not widened
         assert as_tuples(out.tokens) == want_tokens
         # bytes, so -0.0 and 0.0 winners are told apart
         assert out.logliks.tobytes() == np.array(want_logliks).tobytes()

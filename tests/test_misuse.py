@@ -1,0 +1,192 @@
+"""Misuse of the token entry points raises ``InvalidParamsError``.
+
+Every exported callable that takes token rows goes through the one
+token check, ``function.as_tokens``. ``ENTRIES`` calls each with one bad
+token array at a time, built from a valid input, and expects a typed
+error. ``test_every_token_entry_point_is_in_the_table`` fails when an
+exported callable takes a token argument but has no entry here, so a
+new entry point declares its misuse cases when it is added.
+"""
+
+import inspect
+import math
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+import pytest
+
+import ehrlich
+from ehrlich import (
+    CandidateSet,
+    EhrlichParams,
+    InvalidParamsError,
+    LoopConfig,
+    PresolverData,
+    RefinementDataset,
+    ScoredSequence,
+    ScoredSet,
+    baseline_mutation_proposer,
+    evaluate,
+    evaluate_batch,
+    filter_candidates,
+    format_dataset,
+    generate,
+    is_feasible,
+    iterative_refinement,
+    mutate,
+    recombine,
+    regret,
+)
+
+FUNCTION = generate(EhrlichParams.from_name("Ehr(4,16)-2-2-2", seed=1))
+V, L = FUNCTION.params.vocab_size, FUNCTION.params.length
+ROW = FUNCTION.optimum
+BATCH = np.stack([ROW, ROW, np.roll(ROW, 1)])
+PROPOSER = baseline_mutation_proposer(0.1, V, L)
+CONFIG = LoopConfig(seeds_per_round=2, refine_iters=1, samples_per_iter=2,
+                    base_temperatures=(1.0,))
+N = len(BATCH)
+
+
+def _with(good, token):
+    bad = np.array(good)
+    bad[..., -1] = token
+    return bad
+
+
+def _ragged(good):
+    rows = good.tolist()
+    if good.ndim == 1:
+        return [rows[0], rows[:2]] + rows[2:]
+    return rows[:-1] + [rows[-1][:-1]]
+
+
+# Each case turns a valid token input into a bad one of the same rank,
+# apart from "wrong ndim", which adds one axis.
+CASES = {
+    "float": lambda good: good + 0.5,
+    "float, integral": lambda good: good.astype(np.float64),
+    "bool": lambda good: good % 2 == 1,
+    "object": lambda good: good.astype(object),
+    "string": lambda good: "abc",
+    "digit strings": lambda good: good.astype(str),
+    "ragged": _ragged,
+    "negative": lambda good: _with(good, -1),
+    ">= v": lambda good: _with(good, V),
+    "wrong ndim": lambda good: good[None],
+    "wrong length": lambda good: good[..., :-1],
+}
+# An entry that knows no instance checks neither range nor length: its
+# tokens keep their dtype, and format_dataset accepts any integer tokens.
+NO_INSTANCE = frozenset({"negative", ">= v", "wrong length"})
+NO_LENGTH = frozenset({"wrong length"})
+
+
+@dataclass(frozen=True)
+class Entry:
+    name: str
+    good: np.ndarray
+    call: Callable
+    not_applicable: frozenset = frozenset()
+
+
+def _candidates(tokens):
+    return CandidateSet(tokens, np.zeros(N), np.arange(N), np.zeros(N))
+
+
+ENTRIES = [
+    Entry("evaluate_batch", BATCH, lambda t: evaluate_batch(FUNCTION, t)),
+    Entry("EhrlichFunction.evaluate_batch", BATCH, lambda t: FUNCTION.evaluate_batch(t)),
+    Entry("evaluate", ROW, lambda t: evaluate(FUNCTION, t)),
+    Entry("regret", ROW, lambda t: regret(FUNCTION, t)),
+    Entry("is_feasible", ROW, lambda t: is_feasible(t, FUNCTION.transition), NO_LENGTH),
+    Entry("mutate", BATCH, lambda t: mutate(t, 0.1, 2, V, seed=0), NO_LENGTH),
+    Entry("mutate, per-position probability", BATCH,
+          lambda t: mutate(t, np.full(L, 0.1), 2, V, seed=0)),
+    Entry("recombine", BATCH, lambda t: recombine(t, 0.5, 4, seed=0), NO_INSTANCE),
+    Entry("MutationProposer.propose", BATCH, lambda t: PROPOSER.propose(t, 1.0, 2, seed=0)),
+    Entry("MutationProposer.score_likelihood inputs", BATCH,
+          lambda t: PROPOSER.score_likelihood(t, BATCH)),
+    Entry("MutationProposer.score_likelihood outputs", BATCH,
+          lambda t: PROPOSER.score_likelihood(BATCH, t)),
+    Entry("ScoredSet", BATCH, lambda t: ScoredSet(t, np.zeros(N)), NO_INSTANCE),
+    Entry("ScoredSequence", ROW, lambda t: ScoredSequence(t, 0.0), NO_INSTANCE),
+    Entry("CandidateSet", BATCH, _candidates, NO_INSTANCE),
+    Entry("RefinementDataset", BATCH,
+          lambda t: RefinementDataset(t, np.zeros((0, 2), np.int32), np.zeros((0, 3), np.int32)),
+          NO_INSTANCE),
+    Entry("PresolverData", BATCH, lambda t: PresolverData(ScoredSet(t, np.zeros(N))),
+          NO_INSTANCE),
+    Entry("format_dataset", BATCH, lambda t: format_dataset(ScoredSet(t, np.arange(N) / N)),
+          NO_INSTANCE),
+    # the seeds reach the proposer, which knows the instance
+    Entry("iterative_refinement", BATCH,
+          lambda t: iterative_refinement(PROPOSER, ScoredSet(t, np.arange(N) / N), CONFIG)),
+    Entry("filter_candidates", BATCH,
+          lambda t: filter_candidates(_candidates(t), FUNCTION.transition.mask, 10,
+                                      -math.inf, 0.25),
+          NO_LENGTH),
+]
+
+# Exported callables that take tokens but stay outside the token check on purpose.
+EXEMPT = {
+    "motif_score": "the exact-rational reference, int64 by design",
+    "motif_product": "the exact-rational reference, int64 by design",
+    "unique_flags": "compares row bytes of any array; the ledger passes checked rows",
+    "make_run_record": "its tokens only feed unique_flags",
+}
+TOKEN_ARGUMENTS = {"tokens", "sequences", "survivors", "scored", "candidates"}
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=lambda entry: entry.name)
+def test_valid_input_is_accepted(entry):
+    entry.call(entry.good)
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry in ENTRIES for case in CASES if case not in entry.not_applicable
+], ids=lambda value: value.name if isinstance(value, Entry) else value)
+def test_bad_tokens_raise_invalid_params(entry, case):
+    with pytest.raises(InvalidParamsError):
+        entry.call(CASES[case](entry.good))
+
+
+def test_every_token_entry_point_is_in_the_table():
+    covered = {entry.name for entry in ENTRIES}
+    missing = []
+    for name in ehrlich.__all__:
+        obj = getattr(ehrlich, name)
+        try:
+            parameters = inspect.signature(obj).parameters if callable(obj) else {}
+        except (TypeError, ValueError):  # exception classes have no signature
+            continue
+        if TOKEN_ARGUMENTS & set(parameters) and name not in covered | set(EXEMPT):
+            missing.append(name)
+    assert missing == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mutate(BATCH, 0.1, -1, V, seed=0),
+    lambda: mutate(BATCH, 0.1, 1.5, V, seed=0),
+    lambda: mutate(BATCH, 0.1, 2, 0, seed=0),
+    lambda: mutate(BATCH, np.full(3, 0.1), 2, V, seed=0),
+    lambda: mutate(BATCH, 2.0, 2, V, seed=0),
+    lambda: mutate(BATCH, math.nan, 2, V, seed=0),
+    lambda: mutate(BATCH, "0.1", 2, V, seed=0),
+    lambda: mutate(BATCH, 0.1, 2, V, seed=1.5),
+    lambda: recombine(BATCH, 0.5, -1, seed=0),
+    lambda: recombine(BATCH, math.nan, 4, seed=0),
+    lambda: recombine(BATCH, True, 4, seed=0),
+    lambda: PROPOSER.propose(BATCH, 1.0, -1, seed=0),
+    lambda: PROPOSER.propose(BATCH, -1.0, 2, seed=0),
+    lambda: PROPOSER.propose(BATCH, math.inf, 2, seed=0),
+    lambda: PROPOSER.score_likelihood(BATCH, BATCH, -1.0),
+], ids=["mutate n_per=-1", "mutate n_per=1.5", "mutate vocab_size=0",
+        "mutate (3,) probability for L=16", "mutate p=2", "mutate p=NaN", "mutate p='0.1'",
+        "mutate seed=1.5", "recombine count=-1", "recombine p=NaN", "recombine p=True",
+        "propose count=-1", "propose temperature=-1", "propose temperature=inf",
+        "score_likelihood temperature=-1"])
+def test_bad_parameters_raise_invalid_params(call):
+    with pytest.raises(InvalidParamsError):
+        call()

@@ -57,6 +57,20 @@ REPORT = {
     ".json": "c82e92df58fd5fe58f434788cecafc2155bb33aa2e25d049088caf040efefe02",
 }
 
+# v = 300 > 256: tokens are uint16, not uint8, on every solver path
+RUN_GA_V300 = {
+    ".csv": "51cd0b4598701e7e55a49de4a4b2fdfc5846eeb2beea444d9b8f46db370c956d",
+    ".json": "20b166634aeabd6589f4fc67365457e23785fce8855626f0a78e80540e5149b6",
+    ".curve.csv": "3bb7792a863f2b80b1bbc0965873bc5e4b15b062291dd1abf40b1dd67d8f14df",
+}
+
+RUN_LLOME_V300 = {
+    ".csv": "73851d8ea1c03963810704724bfd769f501e2b428e21baf01916f9af74aa19e1",
+    ".json": "a54530f24d40a98ed20843188d918e255ed1b0c5eaea39828be523ce7513ded3",
+    ".curve.csv": "a2be3a47dcf5c86573726a55ea8ddd7c742bd89b50b90618024caee711bfcacd",
+    ".rounds.json": "28559c35dd98a478518536769ecfea81c4e9e26c7c5c51946f65a27ae2164ce2",
+}
+
 EVAL = "5cbcd896a4d639524d7a191619a6015469aa5e3ac30f9b81d3173ea8f7dcfcf4"
 
 
@@ -75,6 +89,22 @@ def test_run_llome_outputs(tmp_path, capsys):
                    "--seed-list", "5", "--out-dir", str(tmp_path)])
     assert rc == 0
     assert digests(tmp_path, "llome-ehr-4-16-2-2-2-i1-s5", RUN_LLOME) == RUN_LLOME
+
+
+def test_run_ga_outputs_wide_vocabulary(tmp_path, capsys):
+    rc = cli.main(["run-ga", "--name", "Ehr(300,16)-2-2-2", "--instance-seed", "2",
+                   "--budget", "5000", "--particles", "200", "--mutation-prob", "0.05",
+                   "--no-early-stop", "--seed-list", "3", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert digests(tmp_path, "ga-ehr-300-16-2-2-2-i2-s3", RUN_GA_V300) == RUN_GA_V300
+
+
+def test_run_llome_outputs_wide_vocabulary(tmp_path, capsys):
+    rc = cli.main(["run-llome", "--name", "Ehr(300,16)-2-2-2", "--instance-seed", "2",
+                   "--rounds", "3", "--evals-per-round", "300", "--presolver-rounds", "3",
+                   "--seed-list", "5", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert digests(tmp_path, "llome-ehr-300-16-2-2-2-i2-s5", RUN_LLOME_V300) == RUN_LLOME_V300
 
 
 @pytest.fixture(scope="module")

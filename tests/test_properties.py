@@ -1,5 +1,6 @@
 """Property-based checks of the scoring, construction and writer invariants."""
 
+import functools
 from unittest import mock
 
 import numpy as np
@@ -12,19 +13,23 @@ from ehrlich import (
     EhrlichParams,
     ParetoReport,
     RunRecord,
+    baseline_mutation_proposer,
     evaluate,
+    format_dataset,
     generate,
     is_feasible,
     motif_score,
+    mutate,
     parse_instance,
     read_run_record_json,
+    recombine,
     sample_dmp,
     serialize_instance,
     unique_flags,
 )
 from ehrlich import rng as ehrlich_rng
 from ehrlich import tables
-from ehrlich.function import incumbent_of
+from ehrlich.function import incumbent_of, token_dtype
 from ehrlich.instance_io import format_sequences
 from ehrlich.kernels import feasible_rows
 from ehrlich.llome import LoopConfig, ScoredSet, iterative_refinement
@@ -403,3 +408,42 @@ def test_incumbent_folded_over_batches_is_the_incumbent_of_all(batches):
     assert int(whole.tokens[0]) == int(np.argmax(values))
     event(f"ties at the best: {int((values == values.max()).sum()) > 1}")
     event(f"all -inf: {bool(np.isneginf(values).all())}")
+
+
+# --- one token dtype ------------------------------------------------------------
+
+@functools.cache
+def _instance_of_vocabulary(vocab):
+    # v = 300 is past uint8, so its tokens are uint16
+    name, seed = {4: ("Ehr(4,16)-2-2-2", 1), 300: ("Ehr(300,16)-2-2-2", 2)}[vocab]
+    return generate(EhrlichParams.from_name(name, seed=seed))
+
+
+@given(st.sampled_from([4, 300]), st.integers(1, 12), small_seed, st.data())
+@settings(max_examples=100, deadline=None)
+def test_input_token_dtype_changes_no_result(vocab, rows, seed, data):
+    function = _instance_of_vocabulary(vocab)
+    length = function.params.length
+    cells = st.lists(st.integers(0, vocab - 1), min_size=length, max_size=length)
+    tokens = np.array(data.draw(st.lists(cells, min_size=rows, max_size=rows)))
+    tokens[0] = function.optimum  # one feasible row with value 1
+    values = np.array(data.draw(st.permutations(range(rows)))) / rows
+    proposer = baseline_mutation_proposer(0.3, vocab, length)
+    outputs = []
+    for dtype in (np.uint8, np.uint16, np.int32, np.int64, np.uint64):
+        if np.iinfo(dtype).max < vocab - 1:
+            continue
+        batch = tokens.astype(dtype)
+        mutated = mutate(batch, 0.3, 2, vocab, seed)
+        children = recombine(batch, 0.5, 5, seed)
+        proposals, logliks = proposer.propose(batch, 1.0, 2, seed)
+        assert mutated.dtype == proposals.dtype == token_dtype(vocab)
+        assert children.dtype == batch.dtype  # recombine knows no vocabulary
+        scored = ScoredSet(batch, values)
+        dataset = format_dataset(scored, "triples", 1.0, 5)
+        assert dataset.tokens is scored.tokens  # indices, not copies of the rows
+        assert dataset.pairs.dtype == dataset.triples.dtype == np.int32
+        outputs.append((function.evaluate_batch(batch).tobytes(), mutated.tobytes(),
+                        children.tolist(), proposals.tobytes(), logliks.tobytes(),
+                        dataset.pairs.tobytes(), dataset.triples.tobytes()))
+    assert all(output == outputs[0] for output in outputs)

@@ -23,13 +23,12 @@ from ehrlich.proposers import (
 
 
 def make_dataset(pair_inputs, pair_targets):
-    pair_inputs = np.asarray(pair_inputs, dtype=np.int64)
-    pair_targets = np.asarray(pair_targets, dtype=np.int64)
-    empty = np.empty((0, pair_inputs.shape[1]), dtype=np.int64)
-    return RefinementDataset(
-        pair_inputs=pair_inputs, pair_targets=pair_targets,
-        triple_inputs=empty, triple_winners=empty, triple_losers=empty,
-    )
+    # pair i is (row i, row P + i) of the stacked inputs and targets
+    tokens = np.concatenate([np.asarray(pair_inputs), np.asarray(pair_targets)])
+    num_pairs = len(pair_inputs)
+    pairs = np.column_stack([np.arange(num_pairs), num_pairs + np.arange(num_pairs)])
+    return RefinementDataset(tokens=tokens, pairs=pairs.astype(np.int32),
+                             triples=np.empty((0, 3), dtype=np.int32))
 
 
 class TestMutationProposer:
