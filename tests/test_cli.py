@@ -12,7 +12,9 @@ import pytest
 import ehrlich.cli as cli
 import oracles
 from ehrlich import (
+    GAConfig,
     GeneratorCollapseError,
+    LoopConfig,
     make_run_record,
     read_instance,
     read_pareto_report,
@@ -545,6 +547,17 @@ class TestParserSurface:
             cli.main(["sweep", "--axis", "z", "--values", "1",
                       "--name", INSTANCE, "--budget", "100"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["run-ga", "sweep"])
+    def test_ga_flag_defaults_are_the_config_defaults(self, command):
+        args = cli.build_parser().parse_args(
+            [command, "--name", INSTANCE, "--budget", "100", "--axis", "q", "--values", "1"]
+            if command == "sweep" else [command, "--name", INSTANCE, "--budget", "100"])
+        assert cli._ga_config(args, GAConfig.seed) == GAConfig()
+
+    def test_loop_flag_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["run-llome", "--name", INSTANCE])
+        assert cli._loop_config(args, LoopConfig.seed) == LoopConfig()
 
     def test_instance_round_trips_through_gen(self, instance_file, inst_4_8):
         function = read_instance(instance_file)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import ehrlich.cli as cli
-from ehrlich import EhrlichParams, generate, sample_dmp, serialize_instance
+from ehrlich import EhrlichParams, generate, read_run_record, sample_dmp, serialize_instance
 
 
 def digest(path):
@@ -72,6 +72,21 @@ RUN_LLOME_V300 = {
 }
 
 EVAL = "5cbcd896a4d639524d7a191619a6015469aa5e3ac30f9b81d3173ea8f7dcfcf4"
+
+# ``gen`` documents: the short parameter keys, their order and their values
+GEN = {
+    "Ehr(4,16)-2-2-2": (
+        ["--name", "Ehr(4,16)-2-2-2"], "77301b3cbbe628737fa899cb645dae0e4ae1d1f578fc28c25c128baa38b4fecd"),
+    "Ehr(4,16)-2-2-2 overrides": (
+        ["--name", "Ehr(4,16)-2-2-2", "--feasible-fraction", "0.5", "--epistasis-factor", "1.5",
+         "--softmax-temperature", "0.7"],
+        "e613aa0ceb118bdba2a929b6608ca26564edea8da231208d6efed0dd1d3d6df7"),
+    "Ehr(300,16)-2-2-2": (
+        ["--name", "Ehr(300,16)-2-2-2"], "c1dd8d59f5b16019e2c79609c197facba97f8c2cd8862fc1c06220a006b69588"),
+}
+
+# config_hash under the default solver flags, which the digests above all override
+DEFAULT_CONFIG_HASH = {"run-ga": "26a973e2e73e", "run-llome": "ffd4fae6f6ee"}
 
 
 def test_run_ga_outputs(tmp_path, capsys):
@@ -149,3 +164,24 @@ def test_eval_output(tmp_path, capsys):
                    "--out", str(out)])
     assert rc == 0
     assert digest(out) == EVAL
+
+
+@pytest.mark.parametrize("case", GEN)
+def test_gen_output(tmp_path, capsys, case):
+    flags, expected = GEN[case]
+    out = tmp_path / "instance.json"
+    rc = cli.main(["gen", *flags, "--instance-seed", "1", "--out", str(out)])
+    assert rc == 0
+    assert digest(out) == expected
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("run-ga", ["--budget", "1001"]),
+    ("run-llome", []),
+])
+def test_default_flags_config_hash(tmp_path, capsys, command, flags):
+    rc = cli.main([command, "--name", "Ehr(4,16)-2-2-2", "--instance-seed", "1", *flags,
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0
+    (path,) = tmp_path.glob("*-s0.csv")
+    assert read_run_record(path).config_hash == DEFAULT_CONFIG_HASH[command]
