@@ -38,7 +38,7 @@ from .errors import (
     InvalidParamsError,
     ParseError,
 )
-from .function import EhrlichParams, generate, regret_of_value
+from .function import NAME_FIELDS, EhrlichParams, generate, regret_of_value
 from .ga import GAConfig, run_ga
 from .instance_io import (
     format_sequences,
@@ -47,7 +47,7 @@ from .instance_io import (
     read_text,
     serialize_instance,
 )
-from .llome import LoopConfig, run_llome, run_presolver
+from .llome import DATASET_MODES, LoopConfig, run_llome, run_presolver
 from .proposers import baseline_mutation_proposer
 from .records import (
     EvalLedger,
@@ -56,6 +56,7 @@ from .records import (
     RoundSummary,
     RunRecord,
     make_run_record,
+    new_record_paths,
     read_run_record,
     round_summaries,
     write_run_record,
@@ -67,14 +68,6 @@ ENV_OUT_DIR = "EHRLICH_OUT_DIR"
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_SOLVER_ABORT = 3
-
-_AXIS_FIELDS = {
-    "v": "vocab_size",
-    "L": "length",
-    "c": "num_motifs",
-    "k": "motif_length",
-    "q": "quantization",
-}
 
 
 def _slug(name: str) -> str:
@@ -189,14 +182,14 @@ def _add_seed_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_ga_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--particles", type=int, default=1000,
-                        help="population size per step (default 1000)")
-    parser.add_argument("--survival-quantile", type=float, default=0.1,
-                        help="top quantile kept each step (default 0.1)")
-    parser.add_argument("--mutation-prob", type=float, default=0.005,
-                        help="per-position mutation probability (default 0.005)")
-    parser.add_argument("--recombination-prob", type=float, default=0.0882,
-                        help="per-position crossover probability (default 0.0882)")
+    parser.add_argument("--particles", type=int, default=GAConfig.num_particles,
+                        help="population size per step (default %(default)s)")
+    parser.add_argument("--survival-quantile", type=float, default=GAConfig.survival_quantile,
+                        help="top quantile kept each step (default %(default)s)")
+    parser.add_argument("--mutation-prob", type=float, default=GAConfig.mutation_prob,
+                        help="per-position mutation probability (default %(default)s)")
+    parser.add_argument("--recombination-prob", type=float, default=GAConfig.recombination_prob,
+                        help="per-position crossover probability (default %(default)s)")
 
 
 def _ga_config(args, seed: int) -> GAConfig:
@@ -225,18 +218,15 @@ def cmd_gen(args) -> int:
     if args.name:
         params = _named_params(args)
     else:
-        missing = [flag for flag, value in
-                   (("--v", args.v), ("--L", args.L), ("--c", args.c),
-                    ("--k", args.k), ("--q", args.q)) if value is None]
+        missing = [f"--{short}" for short in NAME_FIELDS if getattr(args, short) is None]
         if missing:
             raise InvalidParamsError(
-                "provide --name or all of --v/--L/--c/--k/--q "
+                f"provide --name or all of {'/'.join(f'--{short}' for short in NAME_FIELDS)} "
                 f"(missing {', '.join(missing)})"
             )
         params = EhrlichParams(
-            vocab_size=args.v, length=args.L, num_motifs=args.c,
-            motif_length=args.k, quantization=args.q, seed=args.instance_seed,
-            **_param_overrides(args),
+            **{field: getattr(args, short) for short, field in NAME_FIELDS.items()},
+            seed=args.instance_seed, **_param_overrides(args),
         )
     document = serialize_instance(generate(params))
     if out:
@@ -284,7 +274,9 @@ def _execute(function, run_id: str, solver: str, config: dict, solve,
     ``(presolver_calls, result)``: the first ``presolver_calls`` batches
     are round 0 and each later batch is its own round; ``result`` is the
     loop's ``LoopResult``, also written as ``<run_id>.rounds.json``, or None.
+    A run whose record exists in ``out_dir`` is refused before it starts.
     """
+    new_record_paths(out_dir, run_id)
     ledger = EvalLedger(function)
     start = time.perf_counter()
     presolver_calls, result = solve(ledger)
@@ -401,7 +393,7 @@ def _checkpoints(budget: int, count: int = 10) -> list[int]:
 def cmd_sweep(args) -> int:
     if not args.name:
         raise InvalidParamsError("sweep needs --name as the base instance")
-    field = _AXIS_FIELDS[args.axis]
+    field = NAME_FIELDS[args.axis]
     values = _parse_int_list(args.values, "--values")
     if not values:
         raise InvalidParamsError("--values must list at least one integer")
@@ -521,11 +513,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate an instance document")
     _add_instance_args(p, with_file=False)
-    p.add_argument("--v", type=int, default=None, help="vocabulary size")
-    p.add_argument("--L", type=int, default=None, help="sequence length")
-    p.add_argument("--c", type=int, default=None, help="number of motifs")
-    p.add_argument("--k", type=int, default=None, help="motif length")
-    p.add_argument("--q", type=int, default=None, help="quantization")
+    for short, field in NAME_FIELDS.items():
+        p.add_argument(f"--{short}", type=int, default=None,
+                       help=f"{field.replace('_', ' ')}, the {short} of Ehr(v,L)-c-k-q")
     p.add_argument("--out", metavar="FILE", help="output path (default stdout)")
     p.set_defaults(func=cmd_gen)
 
@@ -550,22 +540,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-llome", help="run the bilevel generator loop")
     _add_instance_args(p)
     _add_seed_args(p)
-    p.add_argument("--rounds", type=int, default=10)
-    p.add_argument("--evals-per-round", type=int, default=2000)
-    p.add_argument("--presolver-rounds", type=int, default=10)
+    p.add_argument("--rounds", type=int, default=LoopConfig.rounds)
+    p.add_argument("--evals-per-round", type=int, default=LoopConfig.evals_per_round)
+    p.add_argument("--presolver-rounds", type=int, default=LoopConfig.presolver_rounds)
     p.add_argument("--presolver-particles", type=int, default=100,
-                   help="population size of the warm-up evolution (default 100)")
-    p.add_argument("--seeds-per-round", type=int, default=200)
-    p.add_argument("--refine-iters", type=int, default=10)
-    p.add_argument("--samples-per-iter", type=int, default=10)
-    p.add_argument("--temperatures", default="0.6,0.8,1.0,1.2,1.4,1.6",
+                   help="population size of the warm-up evolution (default %(default)s)")
+    p.add_argument("--seeds-per-round", type=int, default=LoopConfig.seeds_per_round)
+    p.add_argument("--refine-iters", type=int, default=LoopConfig.refine_iters)
+    p.add_argument("--samples-per-iter", type=int, default=LoopConfig.samples_per_iter)
+    p.add_argument("--temperatures", default=",".join(map(str, LoopConfig.base_temperatures)),
                    help="comma-separated sampling temperatures")
-    p.add_argument("--likelihood-floor", type=float, default=None,
+    p.add_argument("--likelihood-floor", type=float, default=LoopConfig.likelihood_floor,
                    help="minimum proposal probability kept by the filter")
-    p.add_argument("--max-infeasible-fraction", type=float, default=0.25)
-    p.add_argument("--dataset-mode", choices=("pairs", "triples"), default="pairs")
-    p.add_argument("--distance-threshold", type=float, default=0.25)
-    p.add_argument("--num-neighbors", type=int, default=30)
+    p.add_argument("--max-infeasible-fraction", type=float,
+                   default=LoopConfig.max_infeasible_fraction)
+    p.add_argument("--dataset-mode", choices=DATASET_MODES, default=LoopConfig.dataset_mode)
+    p.add_argument("--distance-threshold", type=float, default=LoopConfig.distance_threshold)
+    p.add_argument("--num-neighbors", type=int, default=LoopConfig.num_neighbors)
     p.add_argument("--mutation-rate", type=float, default=0.05,
                    help="per-position edit rate of the proposal sampler")
     p.add_argument("--out-dir", metavar="DIR")
@@ -575,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p, with_file=False)
     _add_seed_args(p)
     _add_ga_args(p)
-    p.add_argument("--axis", choices=tuple(_AXIS_FIELDS), required=True)
+    p.add_argument("--axis", choices=tuple(NAME_FIELDS), required=True)
     p.add_argument("--values", required=True, metavar="V0,V1,...",
                    help="axis values to scan")
     p.add_argument("--budget", type=int, required=True)

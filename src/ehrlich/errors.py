@@ -72,6 +72,16 @@ def require_probability(name: str, p, length: int | None = None) -> None:
         raise InvalidParamsError(f"{name} must be a probability in [0, 1], got {p!r}")
 
 
+def require_temperature(name: str, temperature) -> None:
+    """Raise ``InvalidParamsError`` unless ``temperature`` is a finite number
+    >= 0, the sampling temperatures a proposer accepts; ``True`` and ``"1"``
+    are not."""
+    array = np.asarray(temperature)
+    if (array.dtype.kind not in "iuf" or array.shape != ()
+            or not (np.isfinite(array) and array >= 0)):
+        raise InvalidParamsError(f"{name} must be finite and >= 0, got {temperature!r}")
+
+
 def require_seed(seed) -> None:
     """Raise ``InvalidParamsError`` unless ``seed`` is an integer in [0, 2**64 - 1]."""
     require_integers(seed=seed)

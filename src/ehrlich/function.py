@@ -26,6 +26,22 @@ from .kernels import feasible_rows, score_batch
 
 NAME_PATTERN = re.compile(r"^Ehr\((\d+),(\d+)\)-(\d+)-(\d+)-(\d+)$")
 
+# The short key of each EhrlichParams field, in instance-document order, and
+# whether the field is an integer. The first five are the v, L, c, k, q of
+# ``Ehr(v,L)-c-k-q``, in the order of NAME_PATTERN's groups.
+PARAM_KEYS = {
+    "v": ("vocab_size", True),
+    "L": ("length", True),
+    "c": ("num_motifs", True),
+    "k": ("motif_length", True),
+    "q": ("quantization", True),
+    "a": ("epistasis_factor", False),
+    "tau": ("softmax_temperature", False),
+    "feasible_fraction": ("feasible_fraction", False),
+    "seed": ("seed", True),
+}
+NAME_FIELDS = {short: field for short, (field, _) in list(PARAM_KEYS.items())[:5]}
+
 MAX_GENERATION_RETRIES = 100
 
 
@@ -65,12 +81,7 @@ class EhrlichParams:
         require(k % q == 0, f"quantization must divide motif_length: q={q}, k={k}")
         a = self.epistasis_factor
         require(0.0 <= a <= 4.0, f"epistasis_factor must be in [0, 4], got {a}")
-        require(self.softmax_temperature > 0, f"softmax_temperature must be > 0, got {self.softmax_temperature}")
-        ff = self.feasible_fraction
-        require(0.0 < ff <= 1.0, f"feasible_fraction must be in (0, 1], got {ff}")
-        b = feasible_count(v, ff)
-        require(b >= 2, f"feasible_fraction {ff} yields per-row feasible count {b} < 2")
-        require(b <= v - 1, f"feasible_fraction {ff} yields per-row feasible count {b} = vocab_size (no infeasible transition)")
+        _require_transition_params(v, self.softmax_temperature, self.feasible_fraction)
         require_seed(self.seed)
 
     @property
@@ -85,20 +96,28 @@ class EhrlichParams:
             raise InvalidParamsError(
                 f"instance name must match Ehr(<v>,<L>)-<c>-<k>-<q>, got {name!r}"
             )
-        v, L, c, k, q = (int(g) for g in match.groups())
-        return cls(
-            vocab_size=v,
-            length=L,
-            num_motifs=c,
-            motif_length=k,
-            quantization=q,
-            **overrides,
-        )
+        return cls(**dict(zip(NAME_FIELDS.values(), (int(g) for g in match.groups()))),
+                   **overrides)
 
 
 def feasible_count(vocab_size: int, feasible_fraction: float) -> int:
     """Per-row count of allowed transitions implied by the fraction."""
     return int(round(feasible_fraction * vocab_size))
+
+
+def _require_transition_params(vocab_size: int, softmax_temperature: float,
+                               feasible_fraction: float) -> int:
+    """The transition matrix's construction rules, which ``EhrlichParams``
+    and ``build_transition_matrix`` both check; returns the per-row feasible
+    count b."""
+    require_counts(2, vocab_size=vocab_size)
+    require(softmax_temperature > 0, f"softmax_temperature must be > 0, got {softmax_temperature}")
+    ff = feasible_fraction
+    require(0.0 < ff <= 1.0, f"feasible_fraction must be in (0, 1], got {ff}")
+    b = feasible_count(vocab_size, ff)
+    require(b >= 2, f"feasible_fraction {ff} yields per-row feasible count {b} < 2")
+    require(b <= vocab_size - 1, f"feasible_fraction {ff} yields per-row feasible count {b} = vocab_size (no infeasible transition)")
+    return b
 
 
 @dataclass(frozen=True)
@@ -289,14 +308,7 @@ def build_transition_matrix(
     permutation and the diagonal forced back to true. Entries are
     softmax(randn / tau) masked and row-renormalized.
     """
-    require(vocab_size >= 2, f"vocab_size must be >= 2, got {vocab_size}")
-    require(softmax_temperature > 0,
-            f"softmax_temperature must be > 0, got {softmax_temperature}")
-    band = feasible_count(vocab_size, feasible_fraction)
-    require(band >= 2, f"feasible_fraction {feasible_fraction} yields per-row feasible count {band} < 2")
-    require(band <= vocab_size - 1,
-            f"feasible_fraction {feasible_fraction} yields per-row feasible count {band} = vocab_size (no infeasible transition)")
-
+    band = _require_transition_params(vocab_size, softmax_temperature, feasible_fraction)
     permutation = rng.substream(seed, rng.STREAM_PERMUTATION).permutation(vocab_size)
     mask = banded_mask(vocab_size, band)[permutation]
     np.fill_diagonal(mask, True)
@@ -378,7 +390,6 @@ def build_motifs(
     slack = (L - c*k) // c, so motifs laid end-to-end always fit.
     """
     c, k, L = params.num_motifs, params.motif_length, params.length
-    require(c * k <= L, f"num_motifs * motif_length must be <= length: {c}*{k} > {L}")
     draw = sample_dmp(transition, c * k, rng.seed_path(seed, rng.STREAM_MOTIFS))
     motifs = draw.reshape(c, k)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import require, require_counts, require_probability, require_seed
+from .errors import require, require_counts, require_integers, require_probability, require_seed
 from .function import ScoredSequence, as_tokens, incumbent_of
 
 PHASE_MUTATE = 0
@@ -165,6 +165,7 @@ def run_ga(function, config: GAConfig, budget: int,
     """Run steps until the next would exceed `budget` evaluations (or the
     optimum is found). The initial-solution evaluation counts toward the
     budget; history gets one entry per executed step."""
+    require_integers(budget=budget)
     require(budget >= config.num_particles,
             f"budget must cover at least one step: {budget} < {config.num_particles}")
     state = init_ga(function, config)

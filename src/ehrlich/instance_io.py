@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import InvalidParamsError, ParseError, require
 from .function import (
+    PARAM_KEYS,
     EhrlichFunction,
     EhrlichParams,
     SpacedMotifs,
@@ -31,19 +32,6 @@ from .function import (
 from .tables import format_rows
 
 FORMAT_VERSION = 1
-
-# Short key in the document: (EhrlichParams field, whether it is an integer).
-_PARAM_KEYS = {
-    "v": ("vocab_size", True),
-    "L": ("length", True),
-    "c": ("num_motifs", True),
-    "k": ("motif_length", True),
-    "q": ("quantization", True),
-    "a": ("epistasis_factor", False),
-    "tau": ("softmax_temperature", False),
-    "feasible_fraction": ("feasible_fraction", False),
-    "seed": ("seed", True),
-}
 
 _INT64 = np.iinfo(np.int64)
 # What an array field of each dtype may hold: (description, element test).
@@ -58,7 +46,7 @@ _ELEMENTS = {
 
 def _param(raw: dict, short: str):
     value = raw[short]
-    integral = _PARAM_KEYS[short][1]
+    integral = PARAM_KEYS[short][1]
     if type(value) is not int and (integral or type(value) is not float):
         kind = "an integer" if integral else "a number"
         raise ParseError(f"instance param {short!r} must be {kind}, got {value!r}")
@@ -89,17 +77,7 @@ def serialize_instance(function: EhrlichFunction) -> str:
     doc = {
         "version": FORMAT_VERSION,
         "name": function.name,
-        "params": {
-            "v": params.vocab_size,
-            "L": params.length,
-            "c": params.num_motifs,
-            "k": params.motif_length,
-            "q": params.quantization,
-            "a": params.epistasis_factor,
-            "tau": params.softmax_temperature,
-            "feasible_fraction": params.feasible_fraction,
-            "seed": params.seed,
-        },
+        "params": {short: getattr(params, field) for short, (field, _) in PARAM_KEYS.items()},
         "transition": function.transition.entries.tolist(),
         "mask": function.transition.mask.tolist(),
         "motifs": function.motifs.motifs.tolist(),
@@ -130,10 +108,10 @@ def parse_instance(document: str) -> EhrlichFunction:
     raw = doc["params"]
     if not isinstance(raw, dict):
         raise ParseError("instance params must be a JSON object")
-    missing = sorted(set(_PARAM_KEYS) - set(raw))
+    missing = sorted(set(PARAM_KEYS) - set(raw))
     if missing:
         raise ParseError(f"instance params missing keys: {', '.join(missing)}")
-    params = EhrlichParams(**{_PARAM_KEYS[short][0]: _param(raw, short) for short in _PARAM_KEYS})
+    params = EhrlichParams(**{field: _param(raw, short) for short, (field, _) in PARAM_KEYS.items()})
 
     name = doc.get("name")
     if name is not None and name != params.name:

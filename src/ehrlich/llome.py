@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng
 from .errors import (GeneratorCollapseError, require, require_counts, require_probability,
-                     require_seed)
+                     require_seed, require_temperature)
 from .function import ScoredSequence, as_tokens, incumbent_of, regret_of_value, token_dtype
 from .ga import GAConfig, run_ga
 from .kernels import feasible_rows
@@ -44,6 +44,7 @@ class ScoredSet:
         object.__setattr__(self, "values", values)
         require(values.shape == (tokens.shape[0],),
                 f"values shape {values.shape} must be ({tokens.shape[0]},)")
+        require(not np.isnan(values).any(), "values must not contain NaN")
 
     def __len__(self) -> int:
         return self.tokens.shape[0]
@@ -54,16 +55,15 @@ class RefinementDataset:
     """Improvement pairs (and optional preference triples) for training.
 
     Every pair (x, y) satisfies fractional Hamming distance <= the
-    threshold and f(y) > f(x); triples add a non-improving neighbor
-    with f(x) >= f(loser). ``pairs`` (P, 2) and ``triples`` (T, 3) are int32
-    row indices into ``tokens``, the scored set's own array, read by gathering.
+    threshold ``format_dataset`` was given and f(y) > f(x); triples add a
+    non-improving neighbor with f(x) >= f(loser). ``pairs`` (P, 2) and
+    ``triples`` (T, 3) are int32 row indices into ``tokens``, the scored
+    set's own array, read by gathering.
     """
 
     tokens: np.ndarray
     pairs: np.ndarray
     triples: np.ndarray
-    distance_threshold: float = 0.25
-    num_neighbors: int = 30
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", as_tokens(self.tokens, None))
@@ -81,6 +81,16 @@ class RefinementDataset:
     triple_losers = property(lambda self: self.tokens[self.triples[:, 2]])
     num_pairs = property(lambda self: self.pairs.shape[0])
     num_triples = property(lambda self: self.triples.shape[0])
+
+
+# The ways format_dataset can build a dataset: improvement pairs only, or
+# pairs and preference triples.
+DATASET_MODES = ("pairs", "triples")
+
+
+def _require_dataset_mode(name: str, mode: str) -> None:
+    require(mode in DATASET_MODES,
+            f"{name} must be {' or '.join(map(repr, DATASET_MODES))}, got {mode!r}")
 
 
 def _require_infeasible_fraction(p_max_infeas: float) -> None:
@@ -109,14 +119,13 @@ class LoopConfig:
             "rounds", "evals_per_round", "presolver_rounds", "seeds_per_round",
             "refine_iters", "samples_per_iter", "num_neighbors")})
         require(len(self.base_temperatures) >= 1, "base_temperatures must be nonempty")
-        require(all(t >= 0 for t in self.base_temperatures),
-                "base_temperatures must be nonnegative")
+        for t in self.base_temperatures:
+            require_temperature("base_temperatures", t)
         if self.likelihood_floor is not None:
             require(0.0 < self.likelihood_floor < 1.0,
                     f"likelihood_floor must be in (0, 1), got {self.likelihood_floor}")
         _require_infeasible_fraction(self.max_infeasible_fraction)
-        require(self.dataset_mode in ("pairs", "triples"),
-                f"dataset_mode must be 'pairs' or 'triples', got {self.dataset_mode!r}")
+        _require_dataset_mode("dataset_mode", self.dataset_mode)
         require_probability("distance_threshold", self.distance_threshold)
         require_seed(self.seed)
 
@@ -236,8 +245,9 @@ def _position_one_hot(tokens: np.ndarray, dtype) -> np.ndarray:
     return one_hot
 
 
-def format_dataset(scored: ScoredSet, mode: str = "pairs",
-                   delta_x: float = 0.25, k_n: int = 30) -> RefinementDataset:
+def format_dataset(scored: ScoredSet, mode: str = LoopConfig.dataset_mode,
+                   delta_x: float = LoopConfig.distance_threshold,
+                   k_n: int = LoopConfig.num_neighbors) -> RefinementDataset:
     """Nearest-neighbor improvement pairs (PropEn-style matching).
 
     For each anchor, ranks the k_n nearest other sequences by fractional
@@ -255,7 +265,7 @@ def format_dataset(scored: ScoredSet, mode: str = "pairs",
     key is an integer below (L+1) * n, so the product is exact in
     float32 while (L+1) * n < 2**24, and runs in float64 beyond that.
     """
-    require(mode in ("pairs", "triples"), f"mode must be 'pairs' or 'triples', got {mode!r}")
+    _require_dataset_mode("mode", mode)
     require_probability("distance_threshold", delta_x)
     require_counts(1, num_neighbors=k_n)
     require(len(scored) >= 1, "scored set must be nonempty")
@@ -306,8 +316,6 @@ def format_dataset(scored: ScoredSet, mode: str = "pairs",
         tokens=tokens,
         pairs=np.concatenate(pairs, dtype=np.int32),
         triples=np.concatenate(triples, dtype=np.int32),
-        distance_threshold=delta_x,
-        num_neighbors=k_n,
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConvergenceError, require
+from .errors import ConvergenceError, InvalidParamsError, require
 from .tables import format_table, read_table
 
 LOSS_BATCH_VERSION = 1
@@ -79,9 +79,10 @@ def kl_divergence(p, q) -> float:
 
 
 def _probs_of(policy) -> np.ndarray:
+    """The table of a policy, or of an array that ``DiscretePolicy`` accepts."""
     if isinstance(policy, DiscretePolicy):
         return policy.probabilities
-    return np.asarray(policy, dtype=np.float64)
+    return DiscretePolicy(policy).probabilities
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +90,15 @@ def _probs_of(policy) -> np.ndarray:
 
 
 def margin_reward(f_x, f_y):
-    """max(f_y - f_x, 0) after remapping -inf (infeasible) to 0."""
+    """max(f_y - f_x, 0) after remapping -inf (infeasible) to 0; the two
+    shapes must broadcast."""
     fx = np.asarray(f_x, dtype=np.float64)
     fy = np.asarray(f_y, dtype=np.float64)
+    try:
+        np.broadcast_shapes(fx.shape, fy.shape)
+    except ValueError:
+        raise InvalidParamsError(
+            f"f_x and f_y shapes must broadcast, got {fx.shape} and {fy.shape}") from None
     fx = np.where(np.isneginf(fx), 0.0, fx)
     fy = np.where(np.isneginf(fy), 0.0, fy)
     out = np.where(fy > fx, fy - fx, 0.0)

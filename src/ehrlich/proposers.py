@@ -25,7 +25,7 @@ from typing import Protocol, runtime_checkable
 import numpy as np
 
 from . import rng
-from .errors import ParseError, require, require_counts
+from .errors import ParseError, require, require_counts, require_temperature
 from .function import as_tokens
 # Bound by name: replacing ``ga.mutate``, as a tracer does, leaves proposals out.
 from .ga import mutate
@@ -82,8 +82,7 @@ class MutationProposer:
         object.__setattr__(self, "position_weights", weights)
 
     def edit_probabilities(self, temperature: float) -> np.ndarray:
-        require(np.isfinite(temperature) and temperature >= 0,
-                f"temperature must be finite and >= 0, got {temperature!r}")
+        require_temperature("temperature", temperature)
         return np.clip(temperature * self.mutation_rate * self.position_weights, 0.0, 1.0)
 
     def propose(self, inputs, temperature, count, seed: rng.SeedLike = 0):

@@ -35,9 +35,27 @@ RUN_RECORD_VERSION = 1
 REGRET_CURVE_VERSION = 1
 PARETO_REPORT_VERSION = 1
 
-_RUN_COLUMNS = ("eval_index", "round", "value", "feasible", "unique")
-_RUN_DTYPE = np.dtype([(name, np.float64 if name == "value" else np.int64)
-                       for name in _RUN_COLUMNS])
+# A run record's metadata lines, in file order: (key, RunRecord attribute, type).
+_RUN_META = (
+    ("run_id", "run_id", str),
+    ("instance", "instance_name", str),
+    ("instance_seed", "instance_seed", int),
+    ("solver", "solver", str),
+    ("config_hash", "config_hash", str),
+    ("duration_seconds", "duration_seconds", float),
+)
+# Its row columns, in file order: (name, RunRecord attribute, the dtype kinds
+# its JSON list may hold). A column of floats is read as float64, any other as
+# int64.
+_RUN_COLUMNS = (
+    ("eval_index", "eval_index", "i"),
+    ("round", "rounds", "i"),
+    ("value", "values", "if"),
+    ("feasible", "feasible", "ib"),
+    ("unique", "unique", "ib"),
+)
+_RUN_DTYPE = np.dtype([(name, np.float64 if "f" in kinds else np.int64)
+                       for name, _, kinds in _RUN_COLUMNS])
 _CURVE_DTYPE = np.dtype([("evals_used", np.int64), ("min_regret", np.float64)])
 _PARETO_DTYPE = np.dtype([("label", object), ("budget", np.float64),
                           ("min_regret", np.float64)])
@@ -178,7 +196,7 @@ class RunRecord:
     duration_seconds: float
 
     def __post_init__(self) -> None:
-        for name in ("run_id", "instance_name", "solver", "config_hash"):
+        for name in (attr for _, attr, kind in _RUN_META if kind is str):
             text = getattr(self, name)
             require(isinstance(text, str), f"{name} must be a string, got {type(text).__name__}")
             # a metadata line holds one line, and its reader strips the value
@@ -198,7 +216,7 @@ class RunRecord:
         object.__setattr__(self, "unique", np.asarray(self.unique, dtype=bool))
         n = self.eval_index.shape[0]
         require(n >= 1, "a run record needs at least one evaluation")
-        for name in ("rounds", "values", "feasible", "unique"):
+        for _, name, _ in _RUN_COLUMNS[1:]:
             require(
                 getattr(self, name).shape == (n,),
                 f"{name} must have shape ({n},), got {getattr(self, name).shape}",
@@ -239,45 +257,28 @@ class RunRecord:
     def min_regret(self) -> float:
         return regret_of_value(self.best_value)
 
+    def _meta(self) -> dict:
+        return {key: getattr(self, attr) for key, attr, _ in _RUN_META}
+
     def to_csv(self) -> str:
-        meta = {
-            "run_id": self.run_id,
-            "instance": self.instance_name,
-            "instance_seed": self.instance_seed,
-            "solver": self.solver,
-            "config_hash": self.config_hash,
-            "duration_seconds": self.duration_seconds,
-        }
-        columns = dict(zip(_RUN_COLUMNS, self._columns()))
-        return format_table("run-record", RUN_RECORD_VERSION, columns, meta)
+        columns = {name: getattr(self, attr) for name, attr, _ in _RUN_COLUMNS}
+        return format_table("run-record", RUN_RECORD_VERSION, columns, self._meta())
 
     def to_json(self) -> str:
         """The JSON mirror, laid out exactly as ``json.dumps(payload, indent=2)``."""
-        head = json.dumps({
-            "format": "run-record",
-            "version": RUN_RECORD_VERSION,
-            "run_id": self.run_id,
-            "instance": self.instance_name,
-            "instance_seed": self.instance_seed,
-            "solver": self.solver,
-            "config_hash": self.config_hash,
-            "duration_seconds": self.duration_seconds,
-        }, indent=2)
+        head = json.dumps({"format": "run-record", "version": RUN_RECORD_VERSION,
+                           **self._meta()}, indent=2)
         # head ends with "\n}"; the evals object goes in as its last member
         parts = [head[:-2], ',\n  "evals": {\n']
         separator = ",\n      "
-        for name, column in zip(_RUN_COLUMNS, self._columns()):
+        for name, attr, _ in _RUN_COLUMNS:
             parts.append(f'    "{name}": [\n      ')
-            parts += _row_blocks([column], _json_number, separator, separator)
+            parts += _row_blocks([getattr(self, attr)], _json_number, separator, separator)
             # a column's trailing separator becomes its closing bracket
             parts[-1] = parts[-1][:-len(separator)]
             parts.append("\n    ],\n")
         parts[-1] = "\n    ]\n  }\n}\n"
         return "".join(parts)
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        """The rows' fields in ``_RUN_COLUMNS`` order."""
-        return (self.eval_index, self.rounds, self.values, self.feasible, self.unique)
 
 
 def _json_number(x: float) -> str:
@@ -325,26 +326,14 @@ def make_run_record(
 def read_run_record(path: str | Path) -> RunRecord:
     """Parse a run-record CSV written by :func:`write_run_record`."""
     meta, rows = read_table(path, "run-record", RUN_RECORD_VERSION, _RUN_DTYPE, "run record")
-    for key in ("run_id", "instance", "instance_seed", "solver", "config_hash",
-                "duration_seconds"):
+    for key, _, _ in _RUN_META:
         if key not in meta:
             raise ParseError(f"run record is missing metadata line '# {key}=...'")
-    return RunRecord(
-        run_id=meta["run_id"],
-        instance_name=meta["instance"],
-        instance_seed=_meta_number(meta, "instance_seed", int),
-        solver=meta["solver"],
-        config_hash=meta["config_hash"],
-        eval_index=rows["eval_index"],
-        rounds=rows["round"],
-        values=rows["value"],
-        feasible=rows["feasible"],
-        unique=rows["unique"],
-        duration_seconds=_meta_number(meta, "duration_seconds", float),
-    )
+    return RunRecord(**{attr: _meta_value(meta, key, kind) for key, attr, kind in _RUN_META},
+                     **{attr: rows[name] for name, attr, _ in _RUN_COLUMNS})
 
 
-def _meta_number(meta: dict[str, str], key: str, convert):
+def _meta_value(meta: dict[str, str], key: str, convert):
     """``convert`` of a run record's metadata value; a value it rejects is
     a ParseError naming the key."""
     try:
@@ -374,29 +363,17 @@ def read_run_record_json(path: str | Path) -> RunRecord:
         raise ParseError(
             f"unsupported run-record version {payload.get('version')!r}"
         )
-    fields = {key: _json_field(payload, key, kind) for key, kind in (
-        ("run_id", str), ("instance", str), ("instance_seed", int), ("solver", str),
-        ("config_hash", str), ("duration_seconds", (int, float)), ("evals", dict))}
-    evals = {name: _json_column(fields["evals"], name, kinds) for name, kinds in (
-        ("eval_index", "i"), ("round", "i"), ("value", "if"), ("feasible", "ib"),
-        ("unique", "ib"))}
-    try:
-        duration = float(fields["duration_seconds"])
-    except OverflowError:
-        raise ParseError("run-record JSON field 'duration_seconds' is out of range") from None
-    return RunRecord(
-        run_id=fields["run_id"],
-        instance_name=fields["instance"],
-        instance_seed=fields["instance_seed"],
-        solver=fields["solver"],
-        config_hash=fields["config_hash"],
-        eval_index=evals["eval_index"],
-        rounds=evals["round"],
-        values=evals["value"],
-        feasible=evals["feasible"],
-        unique=evals["unique"],
-        duration_seconds=duration,
-    )
+    # a float field may be written as a JSON integer
+    meta = {attr: _json_field(payload, key, (int, float) if kind is float else kind)
+            for key, attr, kind in _RUN_META}
+    evals = _json_field(payload, "evals", dict)
+    columns = {attr: _json_column(evals, name, kinds) for name, attr, kinds in _RUN_COLUMNS}
+    for key, attr, kind in _RUN_META:
+        try:
+            meta[attr] = kind(meta[attr])
+        except OverflowError:
+            raise ParseError(f"run-record JSON field {key!r} is out of range") from None
+    return RunRecord(**meta, **columns)
 
 
 def _json_field(payload: dict, key: str, kind):
@@ -427,6 +404,16 @@ def _json_column(evals: dict, name: str, kinds: str) -> np.ndarray:
     return column
 
 
+def new_record_paths(directory: str | Path, run_id: str) -> tuple[Path, Path]:
+    """The paths of ``run_id``'s record CSV and JSON mirror in ``directory``;
+    FileExistsError if either exists, as records are append-only."""
+    paths = (Path(directory) / f"{run_id}.csv", Path(directory) / f"{run_id}.json")
+    for path in paths:
+        if path.exists():
+            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
+    return paths
+
+
 def write_run_record(record: RunRecord, directory: str | Path) -> Path:
     """Write ``<run_id>.csv`` and ``<run_id>.json`` into ``directory``.
 
@@ -434,14 +421,9 @@ def write_run_record(record: RunRecord, directory: str | Path) -> Path:
     already exists in the directory raises FileExistsError, before either
     file is written, instead of overwriting history.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    csv_path = directory / f"{record.run_id}.csv"
-    json_path = directory / f"{record.run_id}.json"
     # refuse before writing either file, so a refusal never leaves half a record
-    for path in (csv_path, json_path):
-        if path.exists():
-            raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), str(path))
+    csv_path, json_path = new_record_paths(directory, record.run_id)
+    Path(directory).mkdir(parents=True, exist_ok=True)
     with open(csv_path, "x") as handle:
         handle.write(record.to_csv())
     with open(json_path, "x") as handle:

@@ -182,6 +182,30 @@ def run_ga_args(out_dir, budget="600", seeds="2", extra=()):
             "--out-dir", str(out_dir), *extra]
 
 
+def _solver_not_called(*args, **kwargs):
+    raise AssertionError("the solver ran")
+
+
+@pytest.mark.parametrize("argv, existing, solver", [
+    (run_ga_args("{out}", seeds="1"), "ga-ehr-4-8-2-2-2-i0-s0.csv", "run_ga"),
+    (["run-llome", "--name", INSTANCE, "--out-dir", "{out}"],
+     "llome-ehr-4-8-2-2-2-i0-s0.json", "run_presolver"),
+    (["sweep", "--axis", "q", "--values", "2", "--name", INSTANCE, "--budget", "300",
+      "--particles", "50", "--out-dir", "{out}"],
+     "sweep-q2-ehr-4-8-2-2-2-i0-s0.csv", "run_ga"),
+], ids=["run-ga", "run-llome", "sweep"])
+def test_existing_record_refused_before_the_solve(tmp_path, capsys, monkeypatch,
+                                                  argv, existing, solver):
+    (tmp_path / existing).write_text("kept\n")
+    monkeypatch.setattr(cli, solver, _solver_not_called)
+    rc = cli.main([arg.format(out=tmp_path) for arg in argv])
+    assert rc == 2
+    assert f"refusing to overwrite existing record: [Errno 17] File exists: " \
+        f"'{tmp_path / existing}'" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == [existing]
+    assert (tmp_path / existing).read_text() == "kept\n"
+
+
 class TestRunGa:
     def test_writes_record_curve_and_json(self, tmp_path, capsys):
         rc = cli.main(run_ga_args(tmp_path))
@@ -335,6 +359,16 @@ class TestRunLlome:
             # the same files as a run of seed 0 alone, apart from the wall time
             assert [l for l in alone if "duration_seconds" not in l] == \
                 [l for l in both if "duration_seconds" not in l]
+
+    @pytest.mark.parametrize("temperatures", ["inf", "1.0,-0.5", "nan"])
+    def test_temperatures_a_proposer_refuses_exit_2_before_any_oracle_call(
+            self, tmp_path, capsys, monkeypatch, temperatures):
+        monkeypatch.setattr(cli, "run_presolver", _solver_not_called)
+        rc = cli.main(["run-llome", "--name", "Ehr(4,16)-2-2-2",
+                       "--temperatures", temperatures, "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "base_temperatures must be finite and >= 0" in capsys.readouterr().err
+        assert not tmp_path.exists() or not any(tmp_path.iterdir())
 
     def test_bad_temperatures_exit_2(self, tmp_path, capsys):
         rc = cli.main(["run-llome", "--name", "Ehr(4,16)-2-2-2",

@@ -1,5 +1,6 @@
 """Instance document round-trips, rejection paths, and sequence files."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -18,7 +19,13 @@ from ehrlich import (
     serialize_instance,
     write_instance,
 )
+from ehrlich.function import PARAM_KEYS
 from ehrlich.instance_io import format_sequences, parse_sequences
+
+
+def test_key_table_names_each_param_field_once_with_its_type():
+    fields = {f.name: f.type == "int" for f in dataclasses.fields(EhrlichParams)}
+    assert sorted(PARAM_KEYS.values()) == sorted(fields.items())
 
 
 @pytest.mark.parametrize(

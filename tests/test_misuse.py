@@ -20,6 +20,7 @@ import ehrlich
 from ehrlich import (
     CandidateSet,
     EhrlichParams,
+    GAConfig,
     InvalidParamsError,
     LoopConfig,
     PresolverData,
@@ -34,9 +35,12 @@ from ehrlich import (
     generate,
     is_feasible,
     iterative_refinement,
+    kl_divergence,
+    margin_reward,
     mutate,
     recombine,
     regret,
+    run_ga,
 )
 
 FUNCTION = generate(EhrlichParams.from_name("Ehr(4,16)-2-2-2", seed=1))
@@ -182,11 +186,22 @@ def test_every_token_entry_point_is_in_the_table():
     lambda: PROPOSER.propose(BATCH, -1.0, 2, seed=0),
     lambda: PROPOSER.propose(BATCH, math.inf, 2, seed=0),
     lambda: PROPOSER.score_likelihood(BATCH, BATCH, -1.0),
+    lambda: LoopConfig(base_temperatures=(1.0, math.inf)),
+    lambda: LoopConfig(base_temperatures=("1.0",)),
+    lambda: run_ga(FUNCTION, GAConfig(num_particles=20), budget=25.5),
+    lambda: margin_reward(np.zeros(3), np.zeros(2)),
+    lambda: kl_divergence([1.5, -0.5], [0.5, 0.5]),
+    lambda: format_dataset(ScoredSet(BATCH, [0.5, math.nan, 0.25])),
+    lambda: ScoredSet(BATCH, np.full(N, math.nan)),
 ], ids=["mutate n_per=-1", "mutate n_per=1.5", "mutate vocab_size=0",
         "mutate (3,) probability for L=16", "mutate p=2", "mutate p=NaN", "mutate p='0.1'",
         "mutate seed=1.5", "recombine count=-1", "recombine p=NaN", "recombine p=True",
         "propose count=-1", "propose temperature=-1", "propose temperature=inf",
-        "score_likelihood temperature=-1"])
+        "score_likelihood temperature=-1", "LoopConfig temperature=inf",
+        "LoopConfig temperature='1.0'",
+        "run_ga budget=25.5", "margin_reward (3,) against (2,)",
+        "kl_divergence of a negative vector", "format_dataset on a NaN value",
+        "ScoredSet of NaN values"])
 def test_bad_parameters_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):
         call()

@@ -1,5 +1,6 @@
 """Run records, regret curves, Pareto reports, and round summaries."""
 
+import dataclasses
 import gc
 import json
 import tracemalloc
@@ -32,7 +33,17 @@ from ehrlich import (
     unique_flags,
     write_run_record,
 )
+from ehrlich import records
 from ehrlich.losses import margin_reward
+
+
+def test_record_tables_name_each_field_once_with_its_type():
+    fields = {f.name: f.type for f in dataclasses.fields(RunRecord)}
+    meta = [(attr, kind.__name__) for _, attr, kind in records._RUN_META]
+    columns = [attr for _, attr, _ in records._RUN_COLUMNS]
+    assert sorted([attr for attr, _ in meta] + columns) == sorted(fields)
+    assert all(fields[attr] == kind for attr, kind in meta)
+    assert all(fields[attr] == "np.ndarray" for attr in columns)
 
 
 def small_record(values, rounds=None, tokens=None, duration=0.5):
