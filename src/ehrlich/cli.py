@@ -46,6 +46,7 @@ from .instance_io import (
     read_instance,
     read_text,
     serialize_instance,
+    write_text,
 )
 from .llome import DATASET_MODES, LoopConfig, run_llome, run_presolver
 from .proposers import baseline_mutation_proposer
@@ -230,7 +231,7 @@ def cmd_gen(args) -> int:
         )
     document = serialize_instance(generate(params))
     if out:
-        out.write_text(document)
+        write_text(out, document)
         print(f"wrote {params.name} (seed {params.seed}) to {out}", file=sys.stderr)
     else:
         sys.stdout.write(document)
@@ -251,7 +252,7 @@ def cmd_eval(args) -> int:
     values = function.evaluate_batch(tokens)
     scored = format_sequences(tokens, values)
     if out:
-        out.write_text(scored)
+        write_text(out, scored)
     else:
         sys.stdout.write(scored)
     best = float(values.max())
@@ -288,7 +289,7 @@ def _execute(function, run_id: str, solver: str, config: dict, solve,
                              unique=ledger.unique())
     del ledger  # its rows and seen-row set are not needed to write the record
     csv_path = write_run_record(record, out_dir)
-    csv_path.with_suffix(".curve.csv").write_text(RegretCurve.from_record(record).to_csv())
+    write_text(csv_path.with_suffix(".curve.csv"), RegretCurve.from_record(record).to_csv())
     if result is not None:
         stats_payload = {
             "format": "round-stats",
@@ -298,9 +299,8 @@ def _execute(function, run_id: str, solver: str, config: dict, solve,
             "presolver_min_regret": result.presolver_min_regret,
             "rounds": [dataclasses.asdict(stats) for stats in result.rounds],
         }
-        csv_path.with_suffix(".rounds.json").write_text(
-            json.dumps(stats_payload, indent=2) + "\n"
-        )
+        write_text(csv_path.with_suffix(".rounds.json"),
+                   json.dumps(stats_payload, indent=2) + "\n")
     return record
 
 
@@ -428,7 +428,7 @@ def cmd_sweep(args) -> int:
     })
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / f"sweep-{args.axis}-table.csv"
-    table_path.write_text(table)
+    write_text(table_path, table)
 
     report = ParetoReport.from_arrays(
         labels=[f"{args.axis}={value}" for value in values for _ in marks],
@@ -437,7 +437,7 @@ def cmd_sweep(args) -> int:
                  for row in range(len(marks))],
     )
     pareto_path = out_dir / f"sweep-{args.axis}-pareto.csv"
-    pareto_path.write_text(report.to_csv())
+    write_text(pareto_path, report.to_csv())
 
     print(f"median min-regret vs evaluations ({len(seeds)} seeds):")
     print("  " + "  ".join(f"{h:>12}" for h in header))
@@ -490,13 +490,13 @@ def cmd_report(args) -> int:
         for field in dataclasses.fields(RoundSummary):
             name = "round" if field.name == "round_index" else field.name
             columns[name] = [getattr(s, field.name) for _, s in rows]
-        out.write_text(format_table("round-report", 1, columns))
+        write_text(out, format_table("round-report", 1, columns))
         payload = {
             "format": "round-report",
             "version": 1,
             "rows": [dict(run_id=run_id, **dataclasses.asdict(s)) for run_id, s in rows],
         }
-        out.with_suffix(".json").write_text(json.dumps(payload, indent=2) + "\n")
+        write_text(out.with_suffix(".json"), json.dumps(payload, indent=2) + "\n")
         print(f"wrote {out}", file=sys.stderr)
     return EXIT_OK
 

@@ -37,6 +37,7 @@ class GAConfig:
         n = self.num_particles
         alpha = self.survival_quantile
         require_counts(2, num_particles=n)
+        require_probability("survival_quantile", alpha)
         require(alpha < 1, f"survival_quantile must be < 1, got {alpha}")
         require(alpha * n >= 2,
                 f"survival_quantile * num_particles must be >= 2, got {alpha * n:.3g}")

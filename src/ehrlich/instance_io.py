@@ -143,11 +143,24 @@ def parse_instance(document: str) -> EhrlichFunction:
 
 
 def write_instance(function: EhrlichFunction, path: str | Path) -> None:
-    Path(path).write_text(serialize_instance(function))
+    write_text(path, serialize_instance(function))
 
 
 def read_instance(path: str | Path) -> EhrlichFunction:
     return parse_instance(read_text(path, "instance document"))
+
+
+_WRITE_SLICE = 1 << 20  # characters encoded per write
+
+
+def write_text(path: str | Path, text: str, mode: str = "w") -> None:
+    """Write ``text`` to ``path`` as UTF-8, whatever the locale, opened with
+    ``mode`` (``"x"`` refuses an existing file). It is written in slices of
+    ``_WRITE_SLICE`` characters, so no encoded copy of the whole text is held.
+    """
+    with open(path, mode, encoding="utf-8") as handle:
+        for start in range(0, len(text), _WRITE_SLICE):
+            handle.write(text[start:start + _WRITE_SLICE])
 
 
 def read_text(path: str | Path, what: str) -> str:

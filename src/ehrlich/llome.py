@@ -94,6 +94,7 @@ def _require_dataset_mode(name: str, mode: str) -> None:
 
 
 def _require_infeasible_fraction(p_max_infeas: float) -> None:
+    require_probability("max_infeasible_fraction", p_max_infeas)
     require(0.0 <= p_max_infeas < 1.0,
             f"max_infeasible_fraction must be in [0, 1), got {p_max_infeas}")
 
@@ -118,10 +119,14 @@ class LoopConfig:
         require_counts(1, **{name: getattr(self, name) for name in (
             "rounds", "evals_per_round", "presolver_rounds", "seeds_per_round",
             "refine_iters", "samples_per_iter", "num_neighbors")})
-        require(len(self.base_temperatures) >= 1, "base_temperatures must be nonempty")
+        # dtype=object: a ragged tuple reaches the per-temperature check below
+        temperatures = np.asarray(self.base_temperatures, dtype=object)
+        require(temperatures.ndim >= 1 and len(temperatures) >= 1,
+                f"base_temperatures must be a nonempty sequence, got {self.base_temperatures!r}")
         for t in self.base_temperatures:
             require_temperature("base_temperatures", t)
         if self.likelihood_floor is not None:
+            require_probability("likelihood_floor", self.likelihood_floor)
             require(0.0 < self.likelihood_floor < 1.0,
                     f"likelihood_floor must be in (0, 1), got {self.likelihood_floor}")
         _require_infeasible_fraction(self.max_infeasible_fraction)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidParamsError, require
+from .instance_io import write_text
 from .tables import format_table, read_table
 
 LOSS_BATCH_VERSION = 1
@@ -176,8 +176,8 @@ _LOSS_BATCH_DTYPE = np.dtype([
 def write_loss_batch(batch: LossBatch, path) -> None:
     columns = (batch.x_ids, batch.y_ids, batch.log_pi_theta, batch.log_pi_ref,
                batch.rewards, batch.lengths)
-    Path(path).write_text(format_table("loss-batch", LOSS_BATCH_VERSION,
-                                       dict(zip(_LOSS_BATCH_DTYPE.names, columns))))
+    write_text(path, format_table("loss-batch", LOSS_BATCH_VERSION,
+                                  dict(zip(_LOSS_BATCH_DTYPE.names, columns))))
 
 
 def read_loss_batch(path) -> LossBatch:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ParseError, require
 from .function import regret_of_value, token_dtype
-from .instance_io import read_text
+from .instance_io import read_text, write_text
 from .losses import margin_reward
 from .tables import _row_blocks, format_table, read_table
 
@@ -419,15 +419,14 @@ def write_run_record(record: RunRecord, directory: str | Path) -> Path:
 
     Records are append-only: writing a run_id whose CSV or JSON file
     already exists in the directory raises FileExistsError, before either
-    file is written, instead of overwriting history.
+    file is written, instead of overwriting history. Both files are UTF-8.
     """
     # refuse before writing either file, so a refusal never leaves half a record
     csv_path, json_path = new_record_paths(directory, record.run_id)
     Path(directory).mkdir(parents=True, exist_ok=True)
-    with open(csv_path, "x") as handle:
-        handle.write(record.to_csv())
-    with open(json_path, "x") as handle:
-        handle.write(record.to_json())
+    # one file's text at a time: the CSV's is dropped before the mirror's is built
+    write_text(csv_path, record.to_csv(), "x")
+    write_text(json_path, record.to_json(), "x")
     return csv_path
 
 

@@ -80,3 +80,28 @@ def test_traced_proposals_are_not_ga_mutate_calls(monkeypatch):
     names = [span[0] for span in tracer.spans]
     assert "proposers.propose" in names
     assert "ga.mutate" not in names
+
+
+def test_run_ga_reaches_every_traced_record_layer(monkeypatch, tmp_path):
+    # perfbench's records.* layer metrics are read from these spans: a write
+    # path that no longer calls RunRecord.to_csv and to_json leaves them empty
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import traced
+
+    tracer = spans.Tracer()
+    try:
+        traced.install(tracer)
+        code = cli.main(["run-ga", "--name", "Ehr(4,16)-2-2-2", "--instance-seed", "1",
+                         "--budget", "200", "--particles", "20", "--seed-list", "0",
+                         "--out-dir", str(tmp_path)])
+    finally:
+        tracer.unwrap_all()
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    assert "records.make_run_record" in names
+    [write] = [i for i, name in enumerate(names) if name == "records.write_run_record"]
+    for name in ("records.to_csv", "records.to_json"):
+        [(parent, counts)] = [(span[3], span[5]) for span in tracer.spans if span[0] == name]
+        assert parent == write
+        assert counts["bytes"] > 0

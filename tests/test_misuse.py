@@ -188,6 +188,10 @@ def test_every_token_entry_point_is_in_the_table():
     lambda: PROPOSER.score_likelihood(BATCH, BATCH, -1.0),
     lambda: LoopConfig(base_temperatures=(1.0, math.inf)),
     lambda: LoopConfig(base_temperatures=("1.0",)),
+    lambda: LoopConfig(base_temperatures=1.0),
+    lambda: LoopConfig(likelihood_floor="0.5"),
+    lambda: LoopConfig(max_infeasible_fraction="0.5"),
+    lambda: GAConfig(survival_quantile="0.1"),
     lambda: run_ga(FUNCTION, GAConfig(num_particles=20), budget=25.5),
     lambda: margin_reward(np.zeros(3), np.zeros(2)),
     lambda: kl_divergence([1.5, -0.5], [0.5, 0.5]),
@@ -198,7 +202,9 @@ def test_every_token_entry_point_is_in_the_table():
         "mutate seed=1.5", "recombine count=-1", "recombine p=NaN", "recombine p=True",
         "propose count=-1", "propose temperature=-1", "propose temperature=inf",
         "score_likelihood temperature=-1", "LoopConfig temperature=inf",
-        "LoopConfig temperature='1.0'",
+        "LoopConfig temperature='1.0'", "LoopConfig base_temperatures=1.0",
+        "LoopConfig likelihood_floor='0.5'", "LoopConfig max_infeasible_fraction='0.5'",
+        "GAConfig survival_quantile='0.1'",
         "run_ga budget=25.5", "margin_reward (3,) against (2,)",
         "kl_divergence of a negative vector", "format_dataset on a NaN value",
         "ScoredSet of NaN values"])

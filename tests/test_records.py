@@ -3,7 +3,11 @@
 import dataclasses
 import gc
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,8 @@ from ehrlich import (
     unique_flags,
     write_run_record,
 )
-from ehrlich import records
+from ehrlich import instance_io, records
+from ehrlich.instance_io import write_text
 from ehrlich.losses import margin_reward
 
 
@@ -374,6 +379,77 @@ def record_with(**fields):
                      duration_seconds=0.0)
 
 
+class TestWriteText:
+    """``instance_io.write_text``: the text's UTF-8 bytes, written in slices."""
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "abcd",  # exactly one slice
+        "abcdefghi",
+        "\u00e9" * 7 + "x",
+        record_with(run_id="run-\u00e9", instance_name="Ehr \u2264", solver="g\u00e0").to_csv(),
+        record_with(run_id="run-\u00e9", instance_name="Ehr \u2264", solver="g\u00e0").to_json(),
+    ], ids=["empty", "one-slice", "three-slices", "non-ascii", "record-csv", "record-json"])
+    def test_bytes_are_the_utf8_encoding(self, text, tmp_path, monkeypatch):
+        monkeypatch.setattr(instance_io, "_WRITE_SLICE", 4)
+        path = tmp_path / "out.txt"
+        write_text(path, text)
+        assert path.read_bytes() == text.encode("utf-8")
+
+    def test_exclusive_mode_keeps_an_existing_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_text(path, "kept\n", "x")
+        with pytest.raises(FileExistsError):
+            write_text(path, "lost\n", "x")
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
+    def test_peak_is_a_fraction_of_the_text(self, tmp_path):
+        # a whole-text write holds an encoded copy (1.0x of the text
+        # measured); two slices' worth, a slice and its bytes, is 0.16x
+        text = "123456,17,0.5625,1,0\n" * (12 * 2**20 // 21)
+        path = tmp_path / "big.txt"
+        tracemalloc.start()
+        try:
+            write_text(path, text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size == len(text)
+        assert peak < len(text) / 4
+
+
+# Writes a record with non-ASCII metadata and checks that it reads back; the
+# source is ASCII, so a C locale can decode it.
+LOCALE_WRITE = r"""
+import sys
+import numpy as np
+from ehrlich import make_run_record, read_run_record, read_run_record_json, write_run_record
+record = make_run_record("run-1", "Ehr(4,8)-2-2-2 \u2264", 3, "ga-\u00e9", {},
+                         values=[0.5, -np.inf], rounds=[0, 1], duration_seconds=0.5,
+                         unique=[True, True])
+path = write_run_record(record, sys.argv[1])
+for back in (read_run_record(path), read_run_record_json(path.with_suffix(".json"))):
+    assert back.to_csv() == record.to_csv()
+"""
+
+
+def test_record_bytes_do_not_depend_on_the_locale(tmp_path):
+    src = str(Path(records.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = {}
+    for label, options, locale_env in (
+            ("ascii", ["-X", "utf8=0"], {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}),
+            ("utf8", ["-X", "utf8=1"], {})):
+        out = tmp_path / label
+        proc = subprocess.run([sys.executable, *options, "-c", LOCALE_WRITE, str(out)],
+                              env=dict(env, **locale_env), capture_output=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        outputs[label] = [(out / f"run-1{suffix}").read_bytes() for suffix in (".csv", ".json")]
+    assert outputs["ascii"] == outputs["utf8"]
+    assert "solver=ga-\u00e9".encode("utf-8") in outputs["ascii"][0]
+
+
 class TestRunRecordStringMetadata:
     """String metadata a record file could not hold, or that would name a
     file outside the record directory, is refused when the record is built."""
@@ -471,6 +547,16 @@ class TestRunRecordPersistence:
     def test_version_line_is_first(self, tmp_path):
         path = write_run_record(small_record([0.5]), tmp_path)
         assert path.read_text().splitlines()[0] == "# run-record v1"
+
+    def test_write_builds_each_text_once(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("to_csv", "to_json"):
+            def counted(record, _original=getattr(RunRecord, name), _name=name):
+                calls.append(_name)
+                return _original(record)
+            monkeypatch.setattr(RunRecord, name, counted)
+        write_run_record(small_record([0.5, 0.25]), tmp_path)
+        assert calls == ["to_csv", "to_json"]
 
     def test_append_only(self, tmp_path):
         record = small_record([0.5])
