@@ -465,7 +465,8 @@ def cmd_report(args) -> int:
             raise InvalidParamsError(f"records directory {state}: {directory}")
         # The output directory also holds curve/sweep CSVs; take only
         # files that identify themselves as run records.
-        paths += [path for path in sorted(directory.glob("*.csv")) if is_table(path, "run-record")]
+        paths += [path for path in sorted(directory.glob("*.csv"))
+                  if path.is_file() and is_table(path, "run-record")]
     if not paths:
         raise InvalidParamsError(f"no run records in {args.records_dir}" if args.records_dir
                                  else "provide record files or --records-dir")

@@ -29,7 +29,7 @@ from .function import (
     TransitionMatrix,
     check_ergodic,
 )
-from .tables import format_rows
+from .tables import _open_input, format_rows
 
 FORMAT_VERSION = 1
 
@@ -164,9 +164,11 @@ def write_text(path: str | Path, text: str, mode: str = "w") -> None:
 
 
 def read_text(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 file; any other bytes are a ParseError naming ``what``."""
+    """The text of a UTF-8 file; any other bytes are a ParseError naming
+    ``what``, and a missing path or a directory an InvalidParamsError."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with _open_input(path, what) as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(
             f"{what} is not UTF-8 text: {path} (byte {exc.start}: {exc.reason})"

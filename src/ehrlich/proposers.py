@@ -208,6 +208,7 @@ class StdioProposer:
     """
 
     def __init__(self, argv: list[str], vocab_size: int, length: int):
+        require(len(argv) > 0, "argv must name the proposal program, got an empty list")
         self.vocab_size = vocab_size
         self.length = length
         self._proc = subprocess.Popen(

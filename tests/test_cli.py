@@ -471,6 +471,15 @@ class TestReport:
         # the directory also holds .curve.csv files; none may be parsed as records
         assert "regret-curve" not in capsys.readouterr().err
 
+    def test_directory_scan_skips_a_directory_named_like_a_csv(self, run_dir, tmp_path,
+                                                               capsys):
+        name = "ga-ehr-4-8-2-2-2-i0-s0.csv"
+        (tmp_path / name).write_bytes((run_dir / name).read_bytes())
+        (tmp_path / "x.csv").mkdir()
+        rc = cli.main(["report", "--records-dir", str(tmp_path)])
+        assert rc == 0
+        assert "ga-ehr-4-8-2-2-2-i0-s0" in capsys.readouterr().out
+
     def test_no_records_exit_2(self, tmp_path, capsys):
         rc = cli.main(["report", "--records-dir", str(tmp_path)])
         assert rc == 2

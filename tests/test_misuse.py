@@ -27,6 +27,7 @@ from ehrlich import (
     RefinementDataset,
     ScoredSequence,
     ScoredSet,
+    StdioProposer,
     baseline_mutation_proposer,
     evaluate,
     evaluate_batch,
@@ -38,6 +39,11 @@ from ehrlich import (
     kl_divergence,
     margin_reward,
     mutate,
+    read_instance,
+    read_pareto_report,
+    read_regret_curve,
+    read_run_record,
+    read_run_record_json,
     recombine,
     regret,
     run_ga,
@@ -197,6 +203,7 @@ def test_every_token_entry_point_is_in_the_table():
     lambda: kl_divergence([1.5, -0.5], [0.5, 0.5]),
     lambda: format_dataset(ScoredSet(BATCH, [0.5, math.nan, 0.25])),
     lambda: ScoredSet(BATCH, np.full(N, math.nan)),
+    lambda: StdioProposer([], V, L),
 ], ids=["mutate n_per=-1", "mutate n_per=1.5", "mutate vocab_size=0",
         "mutate (3,) probability for L=16", "mutate p=2", "mutate p=NaN", "mutate p='0.1'",
         "mutate seed=1.5", "recombine count=-1", "recombine p=NaN", "recombine p=True",
@@ -207,7 +214,25 @@ def test_every_token_entry_point_is_in_the_table():
         "GAConfig survival_quantile='0.1'",
         "run_ga budget=25.5", "margin_reward (3,) against (2,)",
         "kl_divergence of a negative vector", "format_dataset on a NaN value",
-        "ScoredSet of NaN values"])
+        "ScoredSet of NaN values", "StdioProposer with an empty argv"])
 def test_bad_parameters_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):
         call()
+
+
+@pytest.mark.parametrize("read, what", [
+    (read_instance, "instance document"),
+    (read_run_record, "run record"),
+    (read_run_record_json, "run-record JSON"),
+    (read_regret_curve, "regret curve"),
+    (read_pareto_report, "pareto report"),
+], ids=lambda x: getattr(x, "__name__", None))
+@pytest.mark.parametrize("kind", ["missing", "directory", "under a file"])
+def test_reading_a_path_that_is_not_a_file_raises_invalid_params(tmp_path, read, what, kind):
+    (tmp_path / "file").write_text("text\n")
+    path, message = {"missing": (tmp_path / "missing", "not found"),
+                     "directory": (tmp_path, "is a directory"),
+                     "under a file": (tmp_path / "file" / "x", "not found")}[kind]
+    with pytest.raises(InvalidParamsError) as raised:
+        read(path)
+    assert str(raised.value) == f"{what} {message}: {path}"

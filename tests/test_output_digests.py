@@ -6,10 +6,12 @@ only one left out, because it is a wall time. The digests were computed
 with the string writers that formatted each distinct value in its own
 Python call, so a writer change that moves any byte of a record, mirror,
 curve, ``rounds.json``, sweep table, Pareto report, round report or
-scored sequence file fails here.
+scored sequence file fails here. The JSON mirrors' digests were pinned
+again when the mirror's evals went to one line per column.
 """
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -28,22 +30,38 @@ def digests(directory, stem, suffixes):
     return {suffix: digest(directory / f"{stem}{suffix}") for suffix in suffixes}
 
 
+# a record's or a mirror's duration line, which holds nothing else
+DURATION_LINE = re.compile(rb'(# duration_seconds=|  "duration_seconds": )[0-9.e+-]+,?')
+
+
+def run_digests(directory, stem, suffixes):
+    """``digests`` of a run's files, after checking that the record and the
+    mirror each have one line with ``duration_seconds`` and nothing else on
+    it: a file with all its text on that line would digest as empty and pin
+    nothing."""
+    for suffix in (".csv", ".json"):
+        lines = (directory / f"{stem}{suffix}").read_bytes().splitlines()
+        (line,) = [line for line in lines if b"duration_seconds" in line]
+        assert DURATION_LINE.fullmatch(line)
+    return digests(directory, stem, suffixes)
+
+
 RUN_GA = {
     ".csv": "e4cd005316500981acea274420638c25fbba0fd0ff10dfd54ba0a11cdc926d9c",
-    ".json": "af174e54a1ef42c159fc53a93d6e8b4e653dcc48a040eeda4e34725647cf4002",
+    ".json": "74ee83241bfa0a2326f955ba89255cbede9f5f9f89d63315d54539fe368ce8cd",
     ".curve.csv": "b7b7eeaf43862629ddb12b92cba0e54dfd4e740b01ebb2a534df7d86ccd47d95",
 }
 
 RUN_LLOME = {
     ".csv": "a29aed2a3ce72c4fa60f0194bb4988dcb1d3e7715d3395a48053afdb85eada92",
-    ".json": "e58a5defa9f4e08274a4bfd08f354fa3b7c0ad74d43b0168089a78ca5e0ea966",
+    ".json": "f2e68efb7f56df3e9515fa08a843d16f2a2cd6f2271bb8388e237f5cf931b707",
     ".curve.csv": "d254f3c02d2867267b5e1d1ecd77c5bc0b2fee3738aade34e0a9077be1be1101",
     ".rounds.json": "0ce9b6bf399ee05b7e6a3b7237d81487ae186f9518de225db175bc982e9aba89",
 }
 
 SWEEP_CELL = {
     ".csv": "cb77b3f0cb9e0eb490beba6085d203b4761937172407c611ba8c5591d7fd9159",
-    ".json": "e927ad437a58b3fc520ea0a563afb6cc376ca0ef7761800d95a8c2783fe3dcff",
+    ".json": "7ba1be9b79143680928f4d087e0a9ad6d54c11319a5e0ebf117be860c4d02456",
     ".curve.csv": "ebd58b566d1d6f70fa60f36ff120ae36c295404ce87c153d039d194e77e58e38",
 }
 
@@ -60,13 +78,13 @@ REPORT = {
 # v = 300 > 256: tokens are uint16, not uint8, on every solver path
 RUN_GA_V300 = {
     ".csv": "51cd0b4598701e7e55a49de4a4b2fdfc5846eeb2beea444d9b8f46db370c956d",
-    ".json": "20b166634aeabd6589f4fc67365457e23785fce8855626f0a78e80540e5149b6",
+    ".json": "5596c647794d464fbf2dbb373564dadaa87aa19694d836bdca4f41eb7782c492",
     ".curve.csv": "3bb7792a863f2b80b1bbc0965873bc5e4b15b062291dd1abf40b1dd67d8f14df",
 }
 
 RUN_LLOME_V300 = {
     ".csv": "73851d8ea1c03963810704724bfd769f501e2b428e21baf01916f9af74aa19e1",
-    ".json": "a54530f24d40a98ed20843188d918e255ed1b0c5eaea39828be523ce7513ded3",
+    ".json": "2b60842f96fd55d696dbfcd5f56410cbdbed2921de82323366ef82340a063668",
     ".curve.csv": "a2be3a47dcf5c86573726a55ea8ddd7c742bd89b50b90618024caee711bfcacd",
     ".rounds.json": "28559c35dd98a478518536769ecfea81c4e9e26c7c5c51946f65a27ae2164ce2",
 }
@@ -95,7 +113,7 @@ def test_run_ga_outputs(tmp_path, capsys):
                    "--budget", "20001", "--no-early-stop", "--seed-list", "3",
                    "--out-dir", str(tmp_path)])
     assert rc == 0
-    assert digests(tmp_path, "ga-ehr-32-32-4-4-4-i7-s3", RUN_GA) == RUN_GA
+    assert run_digests(tmp_path, "ga-ehr-32-32-4-4-4-i7-s3", RUN_GA) == RUN_GA
 
 
 def test_run_llome_outputs(tmp_path, capsys):
@@ -103,7 +121,7 @@ def test_run_llome_outputs(tmp_path, capsys):
                    "--rounds", "3", "--evals-per-round", "300", "--presolver-rounds", "3",
                    "--seed-list", "5", "--out-dir", str(tmp_path)])
     assert rc == 0
-    assert digests(tmp_path, "llome-ehr-4-16-2-2-2-i1-s5", RUN_LLOME) == RUN_LLOME
+    assert run_digests(tmp_path, "llome-ehr-4-16-2-2-2-i1-s5", RUN_LLOME) == RUN_LLOME
 
 
 def test_run_ga_outputs_wide_vocabulary(tmp_path, capsys):
@@ -111,7 +129,7 @@ def test_run_ga_outputs_wide_vocabulary(tmp_path, capsys):
                    "--budget", "5000", "--particles", "200", "--mutation-prob", "0.05",
                    "--no-early-stop", "--seed-list", "3", "--out-dir", str(tmp_path)])
     assert rc == 0
-    assert digests(tmp_path, "ga-ehr-300-16-2-2-2-i2-s3", RUN_GA_V300) == RUN_GA_V300
+    assert run_digests(tmp_path, "ga-ehr-300-16-2-2-2-i2-s3", RUN_GA_V300) == RUN_GA_V300
 
 
 def test_run_llome_outputs_wide_vocabulary(tmp_path, capsys):
@@ -119,7 +137,7 @@ def test_run_llome_outputs_wide_vocabulary(tmp_path, capsys):
                    "--rounds", "3", "--evals-per-round", "300", "--presolver-rounds", "3",
                    "--seed-list", "5", "--out-dir", str(tmp_path)])
     assert rc == 0
-    assert digests(tmp_path, "llome-ehr-300-16-2-2-2-i2-s5", RUN_LLOME_V300) == RUN_LLOME_V300
+    assert run_digests(tmp_path, "llome-ehr-300-16-2-2-2-i2-s5", RUN_LLOME_V300) == RUN_LLOME_V300
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +151,7 @@ def sweep_dir(tmp_path_factory):
 
 
 def test_sweep_outputs(sweep_dir):
-    assert digests(sweep_dir, "sweep-q2-ehr-4-16-2-2-2-i1-s1", SWEEP_CELL) == SWEEP_CELL
+    assert run_digests(sweep_dir, "sweep-q2-ehr-4-16-2-2-2-i1-s1", SWEEP_CELL) == SWEEP_CELL
     assert {name: digest(sweep_dir / name) for name in SWEEP_TABLES} == SWEEP_TABLES
 
 

@@ -94,8 +94,8 @@ def oracle_csv(record):
     return "\n".join(lines) + "\n"
 
 
-def oracle_json(record):
-    payload = {
+def _mirror_fields(record):
+    meta = {
         "format": "run-record",
         "version": 1,
         "run_id": record.run_id,
@@ -104,15 +104,32 @@ def oracle_json(record):
         "solver": record.solver,
         "config_hash": record.config_hash,
         "duration_seconds": record.duration_seconds,
-        "evals": {
-            "eval_index": record.eval_index.tolist(),
-            "round": record.rounds.tolist(),
-            "value": record.values.tolist(),
-            "feasible": record.feasible.astype(int).tolist(),
-            "unique": record.unique.astype(int).tolist(),
-        },
     }
-    return json.dumps(payload, indent=2) + "\n"
+    evals = {
+        "eval_index": record.eval_index.tolist(),
+        "round": record.rounds.tolist(),
+        "value": record.values.tolist(),
+        "feasible": record.feasible.astype(int).tolist(),
+        "unique": record.unique.astype(int).tolist(),
+    }
+    return meta, evals
+
+
+def oracle_json(record):
+    """The mirror as written: the metadata as ``json.dumps(meta, indent=2)``,
+    then one line per evals column holding its compact ``json.dumps`` list."""
+    meta, evals = _mirror_fields(record)
+    head = json.dumps(meta, indent=2).removesuffix("\n}")
+    columns = [f'    {json.dumps(name)}: {json.dumps(column, separators=(",", ":"))}'
+               for name, column in evals.items()]
+    return head + ',\n  "evals": {\n' + ",\n".join(columns) + "\n  }\n}\n"
+
+
+def oracle_json_indented(record):
+    """The mirror in its first layout, every value on its own indented line;
+    files in it are still read."""
+    meta, evals = _mirror_fields(record)
+    return json.dumps({**meta, "evals": evals}, indent=2) + "\n"
 
 
 def oracle_round_summaries(record):
@@ -291,18 +308,22 @@ class TestBoundedMemory:
         assert ledger.num_evals == 200_001
         assert retained <= 20 * 2**20
 
-    @pytest.mark.parametrize("writer, bound", [("to_csv", 4.0), ("to_json", 2.5)])
-    def test_writer_peak_is_a_small_multiple_of_its_text(self, writer, bound, rng):
-        # the text itself plus the blocks it is joined from: about 2.1x
-        # (CSV) and 2.0x (JSON) measured on this record
+    @staticmethod
+    def big_record(rng):
         n = 300_000
         values = rng.choice([-np.inf, 0.0, 0.25, 0.5, 0.5625, 0.75, 1.0], n)
-        record = RunRecord(
+        return RunRecord(
             run_id="big", instance_name="Ehr(32,32)-4-4-4", instance_seed=7, solver="ga",
             config_hash="0" * 12, eval_index=np.arange(1, n + 1),
             rounds=np.arange(n) // 1000, values=values, feasible=~np.isneginf(values),
             unique=rng.random(n) < 0.2, duration_seconds=1.5,
         )
+
+    @pytest.mark.parametrize("writer, bound", [("to_csv", 4.0), ("to_json", 2.5)])
+    def test_writer_peak_is_a_small_multiple_of_its_text(self, writer, bound, rng):
+        # the text itself plus the blocks it is joined from: about 2.1x
+        # (CSV) and 2.0x (JSON) measured on this record
+        record = self.big_record(rng)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -311,6 +332,11 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak <= bound * len(text)
+
+    def test_mirror_is_about_the_size_of_the_csv(self, rng):
+        # 1.04x on this record; 2.87x when every value had its own indented line
+        record = self.big_record(rng)
+        assert len(record.to_json()) <= 1.1 * len(record.to_csv())
 
 
 class TestRunRecordValidation:
@@ -433,21 +459,58 @@ for back in (read_run_record(path), read_run_record_json(path.with_suffix(".json
 """
 
 
-def test_record_bytes_do_not_depend_on_the_locale(tmp_path):
+# (label, interpreter options, environment): a C locale without UTF-8 mode,
+# whose filesystem encoding is ASCII, and UTF-8 mode
+LOCALES = (("ascii", ["-X", "utf8=0"], {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}),
+           ("utf8", ["-X", "utf8=1"], {}))
+
+
+def run_python(options, locale_env, code, *args):
+    """``code`` run by a new interpreter that imports this package."""
     src = str(Path(records.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **locale_env, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *options, "-c", code, *args],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    return proc.stdout.decode("ascii")
+
+
+def test_record_bytes_do_not_depend_on_the_locale(tmp_path):
     outputs = {}
-    for label, options, locale_env in (
-            ("ascii", ["-X", "utf8=0"], {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}),
-            ("utf8", ["-X", "utf8=1"], {})):
+    for label, options, locale_env in LOCALES:
         out = tmp_path / label
-        proc = subprocess.run([sys.executable, *options, "-c", LOCALE_WRITE, str(out)],
-                              env=dict(env, **locale_env), capture_output=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        run_python(options, locale_env, LOCALE_WRITE, str(out))
         outputs[label] = [(out / f"run-1{suffix}").read_bytes() for suffix in (".csv", ".json")]
     assert outputs["ascii"] == outputs["utf8"]
     assert "solver=ga-\u00e9".encode("utf-8") in outputs["ascii"][0]
+
+
+# Builds a record whose run_id is not ASCII, and writes it if that succeeds;
+# prints the outcome as ASCII.
+NON_ASCII_RUN_ID = r"""
+import sys
+import numpy as np
+from ehrlich import InvalidParamsError, make_run_record, read_run_record, write_run_record
+try:
+    record = make_run_record("run-\u00e9", "Ehr(4,8)-2-2-2", 3, "ga", {}, values=[0.5],
+                             rounds=[0], duration_seconds=0.5, unique=[True])
+except InvalidParamsError as exc:
+    outcome = f"refused: {exc}"
+else:
+    outcome = f"written: {read_run_record(write_run_record(record, sys.argv[1])).run_id}"
+print(outcome.encode("ascii", "backslashreplace").decode("ascii"))
+"""
+
+
+def test_run_id_the_filesystem_encoding_cannot_hold_is_refused_when_built(tmp_path):
+    outcomes = {label: run_python(options, locale_env, NON_ASCII_RUN_ID, str(tmp_path / label))
+                for label, options, locale_env in LOCALES}
+    assert outcomes["ascii"] == ("refused: run_id 'run-\\xe9' cannot be a file name in the "
+                                 "filesystem encoding (ascii)\n")
+    assert not (tmp_path / "ascii").exists()
+    assert outcomes["utf8"] == "written: run-\\xe9\n"
+    assert (tmp_path / "utf8" / "run-\u00e9.json").exists()
 
 
 class TestRunRecordStringMetadata:
@@ -503,7 +566,7 @@ class TestReadRunRecordJson:
          "'instance_seed' has the wrong type"),
         (lambda data: b"[]", "must hold an object"),
         (lambda data: data.replace(b'"round": [', b'"round": [[1], '), "'round' must be a flat"),
-        (lambda data: data.replace(b'"eval_index": [\n      1', b'"eval_index": [\n      1.5'),
+        (lambda data: data.replace(b'"eval_index": [1', b'"eval_index": [1.5'),
          "'eval_index' must be a flat list of integers"),
         (lambda data: data.replace(b'"unique"', b'"uniq"'), "evals are missing 'unique'"),
         (lambda data: data.replace(b'"duration_seconds": 0.5',
@@ -610,6 +673,16 @@ class TestRunRecordBytes:
         back = read_run_record(write_run_record(record, tmp_path))
         assert back.to_csv() == oracle_csv(record)
         assert back.to_json() == oracle_json(record)
+
+    @pytest.mark.parametrize("make", [mixed_record, lambda: small_record([0.25])],
+                             ids=["mixed", "one-row"])
+    def test_indented_mirror_still_reads(self, make, tmp_path):
+        record = make()
+        path = tmp_path / "indented.json"
+        path.write_text(oracle_json_indented(record))
+        back = read_run_record_json(path)
+        assert back.to_json() == record.to_json()
+        assert back.to_csv() == record.to_csv()
 
     def test_json_escapes_metadata(self):
         record = RunRecord(
