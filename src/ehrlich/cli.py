@@ -282,12 +282,13 @@ def _execute(function, run_id: str, solver: str, config: dict, solve,
     start = time.perf_counter()
     presolver_calls, result = solve(ledger)
     duration = time.perf_counter() - start
-    rounds = ledger.call_rounds()
-    np.maximum(rounds - (presolver_calls - 1), 0, out=rounds)
+    values, unique, rounds = ledger.values(), ledger.unique(), ledger.call_rounds()
+    del ledger  # its distinct-row table is not needed to build or write the record
+    rounds -= presolver_calls - 1
+    np.maximum(rounds, 0, out=rounds)
     record = make_run_record(run_id, function.params.name, function.params.seed, solver, config,
-                             values=ledger.values(), rounds=rounds, duration_seconds=duration,
-                             unique=ledger.unique())
-    del ledger  # its rows and seen-row set are not needed to write the record
+                             values=values, rounds=rounds, duration_seconds=duration,
+                             unique=unique)
     csv_path = write_run_record(record, out_dir)
     write_text(csv_path.with_suffix(".curve.csv"), RegretCurve.from_record(record).to_csv())
     if result is not None:

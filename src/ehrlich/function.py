@@ -91,6 +91,7 @@ class EhrlichParams:
 
     @classmethod
     def from_name(cls, name: str, **overrides) -> "EhrlichParams":
+        require(isinstance(name, str), f"instance name must be a string, got {name!r}")
         match = NAME_PATTERN.match(name.strip())
         if match is None:
             raise InvalidParamsError(
@@ -366,7 +367,7 @@ def sample_dmp(transition: TransitionMatrix, length: int, seed: rng.SeedLike) ->
     token is drawn from its predecessor's transition row. Outputs are
     feasible by construction.
     """
-    require(length >= 1, f"length must be >= 1, got {length}")
+    require_counts(1, length=length)
     gen = rng.substream(seed)
     v = transition.vocab_size
     tokens = np.empty(length, dtype=np.int64)

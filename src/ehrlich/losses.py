@@ -92,8 +92,10 @@ def _probs_of(policy) -> np.ndarray:
 def margin_reward(f_x, f_y):
     """max(f_y - f_x, 0) after remapping -inf (infeasible) to 0; the two
     shapes must broadcast."""
-    fx = np.asarray(f_x, dtype=np.float64)
-    fy = np.asarray(f_y, dtype=np.float64)
+    fx, fy = np.asarray(f_x), np.asarray(f_y)
+    for name, array in (("f_x", fx), ("f_y", fy)):
+        require(array.dtype.kind in "iuf", f"{name} must hold numbers, got {array.dtype}")
+    fx, fy = fx.astype(np.float64, copy=False), fy.astype(np.float64, copy=False)
     try:
         np.broadcast_shapes(fx.shape, fy.shape)
     except ValueError:

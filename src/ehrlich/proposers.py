@@ -209,6 +209,8 @@ class StdioProposer:
 
     def __init__(self, argv: list[str], vocab_size: int, length: int):
         require(len(argv) > 0, "argv must name the proposal program, got an empty list")
+        # refused before the child is started
+        require_counts(1, vocab_size=vocab_size, length=length)
         self.vocab_size = vocab_size
         self.length = length
         self._proc = subprocess.Popen(

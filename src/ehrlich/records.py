@@ -68,30 +68,44 @@ def config_hash(config: Mapping) -> str:
     Keys are sorted and values serialized canonically, so two configs
     hash equal iff they are the same mapping (up to key order).
     """
+    require(isinstance(config, Mapping),
+            f"config must be a mapping, got {type(config).__name__}")
     canonical = json.dumps(dict(config), sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
-def unique_flags(tokens: np.ndarray, seen: set[bytes] | None = None) -> np.ndarray:
+def unique_flags(tokens: np.ndarray, seen: dict[bytes, int] | None = None,
+                 first: np.ndarray | None = None) -> np.ndarray:
     """True at each row's first occurrence in the array, and not among the
-    row bytes already in ``seen``, to which every row's bytes are added.
+    row bytes already in ``seen``.
+
+    ``seen`` maps each distinct row's bytes to its label, in insertion
+    order with increasing labels. The rows of this call are labelled
+    ``start, start + 1, ...`` from one past ``seen``'s last label, and each
+    row not yet in ``seen`` is added under its own label; ``first``, an
+    (n,) int64 array, if given, receives every row's label in ``seen``. A
+    row is flagged exactly when its label is its own.
 
     The one uniqueness rule: rows are equal when their bytes are, so one
-    ``seen`` set must only ever see rows of one dtype. Batches streamed
+    ``seen`` must only ever see rows of one dtype. Batches streamed
     through one ``seen`` get the flags of their concatenation.
     """
     tokens = np.asarray(tokens)
     require(tokens.ndim == 2, f"tokens must be 2-D, got shape {tokens.shape}")
-    seen = set() if seen is None else seen
-    width = tokens.shape[1] * tokens.itemsize
+    seen = {} if seen is None else seen
+    n, width = tokens.shape[0], tokens.shape[1] * tokens.itemsize
+    require(isinstance(seen, dict),
+            f"seen must be a dict from row bytes to labels, got {type(seen).__name__}")
+    require(first is None or np.shape(first) == (n,),
+            f"first must have shape ({n},), got {np.shape(first)}")
     keys = (np.ascontiguousarray(tokens).view(f"V{width}").ravel().tolist() if width
-            else [b""] * tokens.shape[0])
-    flags = np.zeros(len(keys), dtype=bool)
-    for i, key in enumerate(keys):
-        if key not in seen:
-            seen.add(key)
-            flags[i] = True
-    return flags
+            else [b""] * n)
+    start = next(reversed(seen.values()), -1) + 1
+    labels = np.fromiter(map(seen.setdefault, keys, range(start, start + n)),
+                         dtype=np.int64, count=n)
+    if first is not None:
+        first[...] = labels
+    return labels == np.arange(start, start + n)
 
 
 class EvalLedger:
@@ -103,20 +117,22 @@ class EvalLedger:
     A batch the wrapped function rejects is not recorded.
 
     A run's record is built from its one ledger: values, first-occurrence
-    flags and per-batch round labels all come from here. Rows are kept in
-    the instance's token dtype (``function.token_dtype``: uint8 when
-    v <= 256, else uint16), and each batch's flags are streamed through
-    :func:`unique_flags` as it arrives, against one set of the rows
-    recorded before it.
+    flags and per-batch round labels all come from here. The ledger keeps
+    no copy of the scored rows. Its uniqueness table, the ``seen`` dict of
+    :func:`unique_flags`, holds each distinct row once, as bytes in the
+    instance's token dtype (``function.token_dtype``: uint8 when v <= 256,
+    else uint16); each evaluation adds only its value, its row's label in
+    that table and its flag, 17 bytes. :meth:`tokens` rebuilds the rows
+    from the two.
     """
 
     def __init__(self, function):
         self._function = function
         self._dtype = token_dtype(function.params.vocab_size)
-        self._tokens: list[np.ndarray] = []
+        self._labels: list[np.ndarray] = []
         self._values: list[np.ndarray] = []
         self._unique: list[np.ndarray] = []
-        self._seen: set[bytes] = set()
+        self._seen: dict[bytes, int] = {}
 
     @property
     def params(self):
@@ -131,10 +147,11 @@ class EvalLedger:
 
     def evaluate_batch(self, tokens: np.ndarray) -> np.ndarray:
         values = self._function.evaluate_batch(tokens)
-        # the function has checked every token, so this one copy is exact
-        rows = np.array(tokens, dtype=self._dtype)
-        self._unique.append(unique_flags(rows, self._seen))
-        self._tokens.append(rows)
+        # the function has checked every token, so this conversion is exact
+        rows = np.asarray(tokens, dtype=self._dtype)
+        labels = np.empty(rows.shape[0], dtype=np.int64)
+        self._unique.append(unique_flags(rows, self._seen, first=labels))
+        self._labels.append(labels)
         self._values.append(np.array(values, dtype=np.float64))
         return values
 
@@ -148,9 +165,15 @@ class EvalLedger:
 
     def tokens(self, dtype=np.int64) -> np.ndarray:
         """Every recorded row, in call order, as int64 or ``dtype``."""
-        if not self._tokens:
-            return np.zeros((0, self._function.params.length), dtype=dtype)
-        return np.concatenate(self._tokens, axis=0, dtype=dtype)
+        length = self._function.params.length
+        if not self._labels:
+            return np.zeros((0, length), dtype=dtype)
+        distinct = np.frombuffer(b"".join(self._seen), dtype=self._dtype)
+        distinct = distinct.reshape(len(self._seen), length).astype(dtype)
+        # the table's labels increase in insertion order, so a label's
+        # position among them is its distinct row
+        table = np.fromiter(self._seen.values(), dtype=np.int64, count=len(self._seen))
+        return distinct[np.searchsorted(table, np.concatenate(self._labels))]
 
     def values(self) -> np.ndarray:
         if not self._values:
@@ -165,11 +188,8 @@ class EvalLedger:
 
     def call_rounds(self) -> np.ndarray:
         """Round label per evaluation: the 0-based index of its batch."""
-        if not self._values:
-            return np.zeros(0, dtype=np.int64)
-        return np.concatenate(
-            [np.full(len(v), i, dtype=np.int64) for i, v in enumerate(self._values)]
-        )
+        return np.repeat(np.arange(len(self._values), dtype=np.int64),
+                         [len(v) for v in self._values])
 
 
 @dataclass(frozen=True)
@@ -228,11 +248,14 @@ class RunRecord:
                 getattr(self, name).shape == (n,),
                 f"{name} must have shape ({n},), got {getattr(self, name).shape}",
             )
+        # slices, not diff: no int64 temporaries the length of the record
         require(
-            bool(np.all(np.diff(self.eval_index) > 0)) and int(self.eval_index[0]) >= 1,
+            bool(np.all(self.eval_index[1:] > self.eval_index[:-1]))
+            and int(self.eval_index[0]) >= 1,
             "eval_index must be strictly increasing and start at >= 1",
         )
-        require(bool(np.all(np.diff(self.rounds) >= 0)), "rounds must be nondecreasing")
+        require(bool(np.all(self.rounds[1:] >= self.rounds[:-1])),
+                "rounds must be nondecreasing")
         neg_inf = np.isneginf(self.values)
         require(not np.isnan(self.values).any(), "values must not contain NaN")
         require(not np.isposinf(self.values).any(), "values must not contain +inf")
@@ -476,9 +499,11 @@ class RegretCurve:
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "RegretCurve":
-        values = np.asarray(values, dtype=np.float64)
-        require(values.ndim == 1 and values.size >= 1,
-                "values must be a nonempty 1-D array")
+        values = np.asarray(values)
+        require(values.ndim == 1 and values.size >= 1 and values.dtype.kind in "iuf",
+                f"values must be a nonempty 1-D array of numbers, got {values.dtype} "
+                f"of shape {values.shape}")
+        values = values.astype(np.float64, copy=False)
         best = np.maximum.accumulate(values)
         regrets = regret_of_value(best)
         change = np.ones(values.shape[0], dtype=bool)

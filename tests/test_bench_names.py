@@ -105,3 +105,26 @@ def test_run_ga_reaches_every_traced_record_layer(monkeypatch, tmp_path):
         [(parent, counts)] = [(span[3], span[5]) for span in tracer.spans if span[0] == name]
         assert parent == write
         assert counts["bytes"] > 0
+
+
+def test_each_traced_ledger_batch_has_one_unique_flags_span(monkeypatch, tmp_path):
+    # records.unique_flags.s is read from the spans of the one uniqueness
+    # pass each batch makes inside the ledger, through the module global
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import traced
+
+    tracer = spans.Tracer()
+    try:
+        traced.install(tracer)
+        code = cli.main(["run-ga", "--name", "Ehr(4,16)-2-2-2", "--instance-seed", "1",
+                         "--budget", "200", "--particles", "20", "--seed-list", "0",
+                         "--out-dir", str(tmp_path)])
+    finally:
+        tracer.unwrap_all()
+    assert code == 0
+    batches = [i for i, span in enumerate(tracer.spans)
+               if span[0] == "records.EvalLedger.evaluate_batch"]
+    flags = [span[3] for span in tracer.spans if span[0] == "records.unique_flags"]
+    assert len(batches) == 10
+    assert sorted(flags) == batches

@@ -25,10 +25,12 @@ from ehrlich import (
     LoopConfig,
     PresolverData,
     RefinementDataset,
+    RegretCurve,
     ScoredSequence,
     ScoredSet,
     StdioProposer,
     baseline_mutation_proposer,
+    config_hash,
     evaluate,
     evaluate_batch,
     filter_candidates,
@@ -47,6 +49,8 @@ from ehrlich import (
     recombine,
     regret,
     run_ga,
+    sample_dmp,
+    unique_flags,
 )
 
 FUNCTION = generate(EhrlichParams.from_name("Ehr(4,16)-2-2-2", seed=1))
@@ -204,6 +208,13 @@ def test_every_token_entry_point_is_in_the_table():
     lambda: format_dataset(ScoredSet(BATCH, [0.5, math.nan, 0.25])),
     lambda: ScoredSet(BATCH, np.full(N, math.nan)),
     lambda: StdioProposer([], V, L),
+    lambda: config_hash(None),
+    lambda: EhrlichParams.from_name(5),
+    lambda: margin_reward("a", 1),
+    lambda: RegretCurve.from_values(np.array(["a", "b"])),
+    lambda: sample_dmp(FUNCTION.transition, 2.5, 0),
+    lambda: unique_flags(BATCH, set()),
+    lambda: unique_flags(BATCH, {}, first=np.empty(N + 1, dtype=np.int64)),
 ], ids=["mutate n_per=-1", "mutate n_per=1.5", "mutate vocab_size=0",
         "mutate (3,) probability for L=16", "mutate p=2", "mutate p=NaN", "mutate p='0.1'",
         "mutate seed=1.5", "recombine count=-1", "recombine p=NaN", "recombine p=True",
@@ -214,7 +225,11 @@ def test_every_token_entry_point_is_in_the_table():
         "GAConfig survival_quantile='0.1'",
         "run_ga budget=25.5", "margin_reward (3,) against (2,)",
         "kl_divergence of a negative vector", "format_dataset on a NaN value",
-        "ScoredSet of NaN values", "StdioProposer with an empty argv"])
+        "ScoredSet of NaN values", "StdioProposer with an empty argv",
+        "config_hash of None", "EhrlichParams.from_name of an int",
+        "margin_reward of a string", "RegretCurve.from_values of strings",
+        "sample_dmp length=2.5", "unique_flags with a set for seen",
+        "unique_flags with a first= of the wrong length"])
 def test_bad_parameters_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):
         call()

@@ -11,6 +11,8 @@ import oracles
 from ehrlich import (
     EhrlichError,
     EhrlichParams,
+    EvalLedger,
+    InvalidParamsError,
     ParetoReport,
     RunRecord,
     baseline_mutation_proposer,
@@ -287,7 +289,7 @@ def split_rows(draw):
 @settings(max_examples=300, deadline=None)
 def test_unique_flags_streamed_through_one_seen_equal_the_whole(case):
     rows, cuts = case
-    seen = set()
+    seen = {}
     streamed = [unique_flags(part, seen) for part in np.split(rows, cuts)]
     flags = np.concatenate(streamed)
     assert flags.dtype == bool
@@ -447,3 +449,31 @@ def test_input_token_dtype_changes_no_result(vocab, rows, seed, data):
                         children.tolist(), proposals.tobytes(), logliks.tobytes(),
                         dataset.pairs.tobytes(), dataset.triples.tobytes()))
     assert all(output == outputs[0] for output in outputs)
+
+
+@given(st.sampled_from([4, 300]), st.data())
+@settings(max_examples=100, deadline=None)
+def test_ledger_rebuilds_the_scored_rows_from_its_distinct_rows(vocab, data):
+    # rows drawn from a small pool repeat within and across batches, and a
+    # batch the function rejects in between leaves no trace
+    function = _instance_of_vocabulary(vocab)
+    length = function.params.length
+    cells = st.lists(st.sampled_from([0, 1, vocab - 1]), min_size=length, max_size=length)
+    pool = np.array(data.draw(st.lists(cells, min_size=1, max_size=4)))
+    picks = st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=6)
+    batches = [pool[rows] for rows in data.draw(st.lists(picks, min_size=1, max_size=5))]
+    rejected_at = data.draw(st.integers(0, len(batches)))
+    ledger = EvalLedger(function)
+    for i, batch in enumerate([*batches, None]):
+        if i == rejected_at:
+            with pytest.raises(InvalidParamsError):
+                ledger.evaluate_batch(np.vstack([pool[:1], np.full((1, length), vocab)]))
+        if batch is not None:
+            ledger.evaluate_batch(batch)
+    scored = np.concatenate(batches)
+    for dtype in (np.int64, token_dtype(vocab)):
+        tokens = ledger.tokens(dtype)
+        assert tokens.dtype == dtype
+        assert np.array_equal(tokens, scored)
+    assert np.array_equal(ledger.unique(), unique_flags(ledger.tokens()))
+    event(f"distinct rows: {len(np.unique(scored, axis=0))} of {len(scored)}")

@@ -278,6 +278,15 @@ class TestStdioProposer:
             )
             assert prop.train(None) is prop
 
+    @pytest.mark.parametrize("vocab_size, length", [(0, 5), (4, -1), ("4", 5), (4, 2.5)])
+    def test_bad_sizes_are_refused_before_the_child_starts(self, monkeypatch, vocab_size, length):
+        def no_child(*args, **kwargs):
+            raise AssertionError("Popen was called")
+
+        monkeypatch.setattr(subprocess, "Popen", no_child)
+        with pytest.raises(InvalidParamsError):
+            StdioProposer(["true"], vocab_size, length)
+
     def test_close_kills_a_child_that_outlives_the_wait(self, tmp_path, monkeypatch):
         script = tmp_path / "stubborn.py"
         script.write_text("import time\ntime.sleep(60)\n")
