@@ -74,8 +74,8 @@ def require_probability(name: str, p, length: int | None = None) -> None:
 
 def require_temperature(name: str, temperature) -> None:
     """Raise ``InvalidParamsError`` unless ``temperature`` is a finite number
-    >= 0, the sampling temperatures a proposer accepts; ``True`` and ``"1"``
-    are not."""
+    >= 0: the sampling temperatures a proposer accepts, and every ``beta``
+    and ``lam`` of the losses; ``True`` and ``"1"`` are not."""
     array = np.asarray(temperature)
     if (array.dtype.kind not in "iuf" or array.shape != ()
             or not (np.isfinite(array) and array >= 0)):

@@ -503,7 +503,9 @@ def motif_score(tokens, motif, offsets, quantization: int) -> Fraction:
 
 
 def response(h, a):
-    """Cubic response g(h) = a*h^3 - a*h^2 + h; exact on rational inputs."""
+    """Cubic response g(h) = a*h^3 - a*h^2 + h to a motif presence h in
+    [0, 1]; exact on rational inputs."""
+    require(0 <= h <= 1, f"motif presence h must be in [0, 1], got {h!r}")
     return a * h * h * h - a * h * h + h
 
 

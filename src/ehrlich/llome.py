@@ -331,6 +331,8 @@ def adjust_temperatures(base, prev_mean_hamming: float) -> tuple:
     adds 0.4; [0.1, 0.125) adds 0.2; anything higher keeps the base.
     """
     require_probability("prev_mean_hamming", prev_mean_hamming)
+    for t in base:
+        require_temperature("base", t)
     if prev_mean_hamming < 0.075:
         bump = 0.6
     elif prev_mean_hamming < 0.1:

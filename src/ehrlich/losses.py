@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidParamsError, require
+from .errors import ConvergenceError, InvalidParamsError, require, require_temperature
 from .instance_io import write_text
 from .tables import format_table, read_table
 
@@ -111,6 +111,7 @@ def margin_reward(f_x, f_y):
 
 def boltzmann_target(rewards, beta: float) -> DiscretePolicy:
     """Probabilities proportional to exp(beta * reward)."""
+    require_temperature("beta", beta)
     rewards = np.asarray(rewards, dtype=np.float64)
     require(bool(np.isfinite(rewards).all()), "rewards must be finite")
     return DiscretePolicy.from_logits(beta * rewards)
@@ -118,16 +119,6 @@ def boltzmann_target(rewards, beta: float) -> DiscretePolicy:
 
 # ---------------------------------------------------------------------------
 # Sampled batches
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    beta: float = 1.0
-    lam: float = 0.0
-
-    def __post_init__(self) -> None:
-        require(self.beta > 0, f"beta must be positive, got {self.beta}")
-        require(self.lam >= 0, f"lam must be nonnegative, got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -222,6 +213,8 @@ def marge_loss(batch: LossBatch, lam: float = 0.0, beta: float = 1.0) -> float:
 
     sum_i w~_i (log pi_i / len_i - beta * r_i) - lam * mean_i(log pi_i / len_i)
     """
+    require_temperature("lam", lam)
+    require_temperature("beta", beta)
     weights = batch.normalized_weights
     per_token = batch.log_pi_theta / batch.lengths
     weighted = float((weights * (per_token - beta * batch.rewards)).sum())
@@ -233,6 +226,7 @@ def reinforce_loss(batch: LossBatch, lam: float = 0.0) -> float:
 
     sum_i w~_i (-r_i * log pi_i) - lam * mean_i(log pi_i / len_i)
     """
+    require_temperature("lam", lam)
     weights = batch.normalized_weights
     weighted = float((weights * (-batch.rewards * batch.log_pi_theta)).sum())
     return weighted - lam * float((batch.log_pi_theta / batch.lengths).mean())
@@ -240,6 +234,7 @@ def reinforce_loss(batch: LossBatch, lam: float = 0.0) -> float:
 
 def dpo_loss(ratio_w, ratio_l, beta: float = 1.0) -> float:
     """mean(-log sigmoid(beta * (ratio_w - ratio_l))) over preference pairs."""
+    require_temperature("beta", beta)
     ratio_w = np.asarray(ratio_w, dtype=np.float64)
     ratio_l = np.asarray(ratio_l, dtype=np.float64)
     require(ratio_w.shape == ratio_l.shape, "ratio arrays must have equal shape")
@@ -283,6 +278,8 @@ def _weight_jacobian(weights: np.ndarray, score_jac: np.ndarray) -> np.ndarray:
 
 def marge_loss_grad(logits, ref_log_probs, outcomes, rewards, lengths=None,
                     lam: float = 0.0, beta: float = 1.0) -> np.ndarray:
+    require_temperature("lam", lam)
+    require_temperature("beta", beta)
     logits = np.asarray(logits, dtype=np.float64)
     outcomes = np.asarray(outcomes, dtype=np.int64)
     batch = batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths)
@@ -300,6 +297,7 @@ def marge_loss_grad(logits, ref_log_probs, outcomes, rewards, lengths=None,
 
 def reinforce_loss_grad(logits, ref_log_probs, outcomes, rewards, lengths=None,
                         lam: float = 0.0) -> np.ndarray:
+    require_temperature("lam", lam)
     logits = np.asarray(logits, dtype=np.float64)
     outcomes = np.asarray(outcomes, dtype=np.int64)
     batch = batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths)
@@ -314,6 +312,7 @@ def reinforce_loss_grad(logits, ref_log_probs, outcomes, rewards, lengths=None,
 
 
 def dpo_loss_grad(logits, ref_log_probs, winners, losers, beta: float = 1.0) -> np.ndarray:
+    require_temperature("beta", beta)
     logits = np.asarray(logits, dtype=np.float64)
     winners = np.asarray(winners, dtype=np.int64)
     losers = np.asarray(losers, dtype=np.int64)
@@ -341,7 +340,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def frekl_objective(pi_theta, pi_star, pi_ref, lam: float) -> float:
     """KL(pi_theta || pi_star) + lam * KL(pi_ref || pi_theta), exactly."""
-    require(lam >= 0, f"lam must be nonnegative, got {lam}")
+    require_temperature("lam", lam)
     forward = kl_divergence(pi_theta, pi_star)
     if lam == 0.0:
         return forward
@@ -372,7 +371,7 @@ def solve_frekl(pi_star, pi_ref, lam: float, tolerance: float = 1e-12,
             "pi_star and pi_ref must be 1-D with equal shape")
     require(bool((star > 0).all()), "pi_star must be strictly positive")
     require(bool((ref > 0).all()), "pi_ref must be strictly positive")
-    require(lam >= 0, f"lam must be nonnegative, got {lam}")
+    require_temperature("lam", lam)
     require(tolerance > 0, f"tolerance must be positive, got {tolerance}")
 
     # The optimum interpolates pi_star (lam -> 0) and pi_ref (lam -> inf);
@@ -423,6 +422,7 @@ def translation_invariance_check(f_values, mode: str = "difference",
     the clipped margin reward breaks that invariance.
     """
     require(mode in ("difference", "margin"), f"mode must be 'difference' or 'margin', got {mode!r}")
+    require_temperature("beta", beta)
     f_values = np.asarray(f_values, dtype=np.float64)
     require(f_values.ndim == 1 and f_values.size >= 2, "need a 1-D domain of >= 2 scores")
     require(bool(np.isfinite(f_values).all()), "f values must be finite")

@@ -10,7 +10,6 @@ from ehrlich.errors import ConvergenceError, InvalidParamsError, ParseError
 from ehrlich.losses import (
     DiscretePolicy,
     LossBatch,
-    LossConfig,
     batch_from_logits,
     boltzmann_target,
     dpo_loss,
@@ -206,13 +205,6 @@ class TestLossBatch:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"malformed loss batch data line 6: {message}"):
             read_loss_batch(path)
-
-    def test_config_validation(self):
-        LossConfig(beta=2.0, lam=0.0)
-        with pytest.raises(InvalidParamsError):
-            LossConfig(beta=0.0)
-        with pytest.raises(InvalidParamsError):
-            LossConfig(lam=-1.0)
 
 
 def random_instance(rng, num_outcomes=5, batch_size=8):

@@ -23,14 +23,18 @@ from ehrlich import (
     GAConfig,
     InvalidParamsError,
     LoopConfig,
+    LossBatch,
     PresolverData,
     RefinementDataset,
     RegretCurve,
     ScoredSequence,
     ScoredSet,
     StdioProposer,
+    adjust_temperatures,
     baseline_mutation_proposer,
+    boltzmann_target,
     config_hash,
+    dpo_loss,
     evaluate,
     evaluate_batch,
     filter_candidates,
@@ -40,6 +44,7 @@ from ehrlich import (
     iterative_refinement,
     kl_divergence,
     margin_reward,
+    marge_loss,
     mutate,
     read_instance,
     read_pareto_report,
@@ -48,16 +53,20 @@ from ehrlich import (
     read_run_record_json,
     recombine,
     regret,
+    response,
     run_ga,
     sample_dmp,
     unique_flags,
 )
+from ehrlich.losses import dpo_loss_from_logits, dpo_loss_grad, marge_loss_grad
 
 FUNCTION = generate(EhrlichParams.from_name("Ehr(4,16)-2-2-2", seed=1))
 V, L = FUNCTION.params.vocab_size, FUNCTION.params.length
 ROW = FUNCTION.optimum
 BATCH = np.stack([ROW, ROW, np.roll(ROW, 1)])
 PROPOSER = baseline_mutation_proposer(0.1, V, L)
+LOSS_BATCH = LossBatch(x_ids=[0, 0], y_ids=[0, 1], log_pi_theta=[-0.5, -1.0],
+                       log_pi_ref=[-0.7, -0.7], rewards=[0.3, 0.1], lengths=[1, 2])
 CONFIG = LoopConfig(seeds_per_round=2, refine_iters=1, samples_per_iter=2,
                     base_temperatures=(1.0,))
 N = len(BATCH)
@@ -215,6 +224,17 @@ def test_every_token_entry_point_is_in_the_table():
     lambda: sample_dmp(FUNCTION.transition, 2.5, 0),
     lambda: unique_flags(BATCH, set()),
     lambda: unique_flags(BATCH, {}, first=np.empty(N + 1, dtype=np.int64)),
+    lambda: response(2.0, 0),
+    lambda: adjust_temperatures(("a",), 0.0),
+    lambda: dpo_loss([0.1], [0.2], beta=-1.0),
+    lambda: dpo_loss([0.1], [0.2], beta=math.inf),
+    lambda: marge_loss(LOSS_BATCH, beta=-2.0),
+    lambda: marge_loss(LOSS_BATCH, beta=math.nan),
+    lambda: marge_loss(LOSS_BATCH, lam=-1.0),
+    lambda: marge_loss_grad([0.0, 0.0], [-0.7, -0.7], [0, 1], [0.3, 0.1], lam=math.inf),
+    lambda: dpo_loss_from_logits([0.0, 0.0], [-0.7, -0.7], [0], [1], beta=-1.0),
+    lambda: dpo_loss_grad([0.0, 0.0], [-0.7, -0.7], [0], [1], beta=math.nan),
+    lambda: boltzmann_target([0.0, 1.0], beta=-1.0),
 ], ids=["mutate n_per=-1", "mutate n_per=1.5", "mutate vocab_size=0",
         "mutate (3,) probability for L=16", "mutate p=2", "mutate p=NaN", "mutate p='0.1'",
         "mutate seed=1.5", "recombine count=-1", "recombine p=NaN", "recombine p=True",
@@ -229,7 +249,11 @@ def test_every_token_entry_point_is_in_the_table():
         "config_hash of None", "EhrlichParams.from_name of an int",
         "margin_reward of a string", "RegretCurve.from_values of strings",
         "sample_dmp length=2.5", "unique_flags with a set for seen",
-        "unique_flags with a first= of the wrong length"])
+        "unique_flags with a first= of the wrong length",
+        "response to a presence of 2", "adjust_temperatures of a string base",
+        "dpo_loss beta=-1", "dpo_loss beta=inf", "marge_loss beta=-2", "marge_loss beta=NaN",
+        "marge_loss lam=-1", "marge_loss_grad lam=inf", "dpo_loss_from_logits beta=-1",
+        "dpo_loss_grad beta=NaN", "boltzmann_target beta=-1"])
 def test_bad_parameters_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):
         call()

@@ -14,6 +14,7 @@ from ehrlich import (
     EvalLedger,
     InvalidParamsError,
     ParetoReport,
+    RegretCurve,
     RunRecord,
     baseline_mutation_proposer,
     evaluate,
@@ -23,6 +24,10 @@ from ehrlich import (
     motif_score,
     mutate,
     parse_instance,
+    read_instance,
+    read_pareto_report,
+    read_regret_curve,
+    read_run_record,
     read_run_record_json,
     recombine,
     sample_dmp,
@@ -32,7 +37,7 @@ from ehrlich import (
 from ehrlich import rng as ehrlich_rng
 from ehrlich import tables
 from ehrlich.function import incumbent_of, token_dtype
-from ehrlich.instance_io import format_sequences
+from ehrlich.instance_io import format_sequences, parse_sequences, read_text
 from ehrlich.kernels import feasible_rows
 from ehrlich.llome import LoopConfig, ScoredSet, iterative_refinement
 from test_records import oracle_csv, oracle_json
@@ -346,29 +351,31 @@ def test_pareto_writer_matches_per_row_reference(points, block):
 _JSON_BYTES = st.sampled_from(list(b'{}[]",:0123456789-+.eE tnfalsruIN\\\n') + [0, 0x80, 0xC3, 0xFF])
 
 
+_VALUES = np.array([-np.inf, 0.5, 0.5, 1.0])
+_RECORD = RunRecord(run_id="r", instance_name="Ehr(4,8)-2-2-2", instance_seed=3,
+                    solver="ga", config_hash="0" * 12, eval_index=[1, 2, 3, 4],
+                    rounds=[0, 1, 1, 2], values=_VALUES, feasible=~np.isneginf(_VALUES),
+                    unique=[True, True, False, True], duration_seconds=0.5)
+
+
 @pytest.fixture(scope="module")
 def mirror(tmp_path_factory):
     """A valid mirror's bytes, and a path to write mutated copies to."""
-    values = np.array([-np.inf, 0.5, 0.5, 1.0])
-    record = RunRecord(run_id="r", instance_name="Ehr(4,8)-2-2-2", instance_seed=3,
-                       solver="ga", config_hash="0" * 12, eval_index=[1, 2, 3, 4],
-                       rounds=[0, 1, 1, 2], values=values, feasible=~np.isneginf(values),
-                       unique=[True, True, False, True], duration_seconds=0.5)
-    return record.to_json().encode(), tmp_path_factory.mktemp("mirror") / "mutated.json"
+    return _RECORD.to_json().encode(), tmp_path_factory.mktemp("mirror") / "mutated.json"
 
 
 @st.composite
-def mutations(draw, data):
+def mutations(draw, data, alphabet=_JSON_BYTES):
     data = bytearray(data)
     for _ in range(draw(st.integers(1, 4))):
         at = draw(st.integers(0, len(data)))
         kind = draw(st.sampled_from(["replace", "delete", "insert", "truncate"]))
         if kind == "replace" and at < len(data):
-            data[at] = draw(_JSON_BYTES)
+            data[at] = draw(alphabet)
         elif kind == "delete":
             del data[at:at + draw(st.integers(1, 8))]
         elif kind == "insert":
-            data[at:at] = bytes(draw(st.lists(_JSON_BYTES, min_size=1, max_size=8)))
+            data[at:at] = bytes(draw(st.lists(alphabet, min_size=1, max_size=8)))
         else:
             del data[at:]
     return bytes(data)
@@ -381,6 +388,52 @@ def test_mutated_mirror_raises_only_package_errors(mirror, data):
     path.write_bytes(data.draw(mutations(valid)))
     try:
         read_run_record_json(path)
+    except EhrlichError as exc:
+        event(type(exc).__name__)
+    else:
+        event("read")
+
+
+# --- the other readers under byte mutations ---------------------------------
+
+# What the JSON and table grammars are made of, the ASCII separators numpy
+# strips, and bytes that are not UTF-8 or decode to non-ASCII whitespace.
+_READER_BYTES = st.sampled_from(
+    list(b'{}[]",:0123456789-+.eE tnfalsruIN\\\n\r\t#=_x\x0b\x1c') + [0, 0x80, 0xA0, 0xC2, 0xC3, 0xFF])
+
+
+@pytest.fixture(scope="module")
+def documents(inst_4_8, tmp_path_factory):
+    """Each reader's valid input bytes, and a path to write mutated copies to."""
+    rows = np.stack([inst_4_8.optimum, np.roll(inst_4_8.optimum, 1)])
+    texts = {
+        "parse_instance": serialize_instance(inst_4_8),
+        "parse_sequences": format_sequences(rows, np.array([1.0, -np.inf])),
+        "read_run_record": _RECORD.to_csv(),
+        "read_regret_curve": RegretCurve.from_values(_VALUES).to_csv(),
+        "read_pareto_report": ParetoReport.from_arrays(["a", "b"], [10, 20], [0.5, 0.25]).to_csv(),
+    }
+    return ({name: text.encode() for name, text in texts.items()},
+            tmp_path_factory.mktemp("documents") / "mutated")
+
+
+READERS = {
+    "parse_instance": read_instance,
+    "parse_sequences": lambda path: parse_sequences(read_text(path, "sequence file"), 8, 4),
+    "read_run_record": read_run_record,
+    "read_regret_curve": read_regret_curve,
+    "read_pareto_report": read_pareto_report,
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@given(st.data())
+@settings(max_examples=500, deadline=None)
+def test_mutated_input_raises_only_package_errors(documents, reader, data):
+    valid, path = documents
+    path.write_bytes(data.draw(mutations(valid[reader], _READER_BYTES)))
+    try:
+        READERS[reader](path)
     except EhrlichError as exc:
         event(type(exc).__name__)
     else:
