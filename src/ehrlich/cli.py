@@ -307,10 +307,6 @@ def _execute(function, run_id: str, solver: str, config: dict, solve,
 
 def _execute_ga(function, args, seed: int, run_id: str, out_dir: Path) -> RunRecord:
     """One evolutionary-baseline run of ``run-ga`` or ``sweep``."""
-    if args.budget < args.particles:
-        raise InvalidParamsError(
-            f"--budget must cover at least one step: {args.budget} < {args.particles}"
-        )
     config = _ga_config(args, seed)
 
     def solve(ledger):

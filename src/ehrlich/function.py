@@ -13,6 +13,7 @@ optimum each draw from a named substream of the instance seed (see
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -80,7 +81,8 @@ class EhrlichParams:
         require(1 <= q <= k, f"quantization must be in [1, motif_length], got {q}")
         require(k % q == 0, f"quantization must divide motif_length: q={q}, k={k}")
         a = self.epistasis_factor
-        require(0.0 <= a <= 4.0, f"epistasis_factor must be in [0, 4], got {a}")
+        require(isinstance(a, numbers.Real) and 0.0 <= a <= 4.0,
+                f"epistasis_factor must be in [0, 4], got {a!r}")
         _require_transition_params(v, self.softmax_temperature, self.feasible_fraction)
         require_seed(self.seed)
 
@@ -112,9 +114,11 @@ def _require_transition_params(vocab_size: int, softmax_temperature: float,
     and ``build_transition_matrix`` both check; returns the per-row feasible
     count b."""
     require_counts(2, vocab_size=vocab_size)
-    require(softmax_temperature > 0, f"softmax_temperature must be > 0, got {softmax_temperature}")
+    require(isinstance(softmax_temperature, numbers.Real) and softmax_temperature > 0,
+            f"softmax_temperature must be > 0, got {softmax_temperature!r}")
     ff = feasible_fraction
-    require(0.0 < ff <= 1.0, f"feasible_fraction must be in (0, 1], got {ff}")
+    require(isinstance(ff, numbers.Real) and 0.0 < ff <= 1.0,
+            f"feasible_fraction must be in (0, 1], got {ff!r}")
     b = feasible_count(vocab_size, ff)
     require(b >= 2, f"feasible_fraction {ff} yields per-row feasible count {b} < 2")
     require(b <= vocab_size - 1, f"feasible_fraction {ff} yields per-row feasible count {b} = vocab_size (no infeasible transition)")
@@ -489,6 +493,7 @@ def motif_score(tokens, motif, offsets, quantization: int) -> Fraction:
     motif = np.asarray(motif, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
     k = motif.shape[0]
+    require_counts(1, quantization=quantization)
     require(k % quantization == 0,
             f"quantization must divide motif_length: q={quantization}, k={k}")
     length = tokens.shape[0]
@@ -505,7 +510,8 @@ def motif_score(tokens, motif, offsets, quantization: int) -> Fraction:
 def response(h, a):
     """Cubic response g(h) = a*h^3 - a*h^2 + h to a motif presence h in
     [0, 1]; exact on rational inputs."""
-    require(0 <= h <= 1, f"motif presence h must be in [0, 1], got {h!r}")
+    require(isinstance(h, numbers.Real) and 0 <= h <= 1,
+            f"motif presence h must be a number in [0, 1], got {h!r}")
     return a * h * h * h - a * h * h + h
 
 

@@ -331,6 +331,7 @@ def adjust_temperatures(base, prev_mean_hamming: float) -> tuple:
     adds 0.4; [0.1, 0.125) adds 0.2; anything higher keeps the base.
     """
     require_probability("prev_mean_hamming", prev_mean_hamming)
+    require(np.iterable(base), f"base must be a sequence of temperatures, got {base!r}")
     for t in base:
         require_temperature("base", t)
     if prev_mean_hamming < 0.075:

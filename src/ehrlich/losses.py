@@ -14,11 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InvalidParamsError, require, require_temperature
-from .instance_io import write_text
-from .tables import format_table, read_table
-
-LOSS_BATCH_VERSION = 1
+from .errors import (ConvergenceError, InvalidParamsError, require, require_counts,
+                     require_temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -56,15 +53,19 @@ class DiscretePolicy:
 
     @classmethod
     def from_logits(cls, logits: np.ndarray) -> "DiscretePolicy":
-        logits = np.asarray(logits, dtype=np.float64)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        weights = np.exp(shifted)
-        return cls(weights / weights.sum(axis=-1, keepdims=True))
+        return cls(np.exp(_log_softmax(logits)))
 
     @classmethod
     def uniform(cls, num_outcomes: int) -> "DiscretePolicy":
-        require(num_outcomes >= 1, "num_outcomes must be >= 1")
+        require_counts(1, num_outcomes=num_outcomes)
         return cls(np.full(num_outcomes, 1.0 / num_outcomes))
+
+
+def _log_softmax(logits) -> np.ndarray:
+    """Log-softmax of each row, over the last axis."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def kl_divergence(p, q) -> float:
@@ -160,30 +161,11 @@ class LossBatch:
         return raw / raw.sum()
 
 
-_LOSS_BATCH_DTYPE = np.dtype([
-    ("x_id", np.int64), ("y_id", np.int64), ("log_pi_theta", np.float64),
-    ("log_pi_ref", np.float64), ("reward", np.float64), ("length", np.int64),
-])
-
-
-def write_loss_batch(batch: LossBatch, path) -> None:
-    columns = (batch.x_ids, batch.y_ids, batch.log_pi_theta, batch.log_pi_ref,
-               batch.rewards, batch.lengths)
-    write_text(path, format_table("loss-batch", LOSS_BATCH_VERSION,
-                                  dict(zip(_LOSS_BATCH_DTYPE.names, columns))))
-
-
-def read_loss_batch(path) -> LossBatch:
-    _, rows = read_table(path, "loss-batch", LOSS_BATCH_VERSION, _LOSS_BATCH_DTYPE,
-                         "loss batch")
-    return LossBatch(*(rows[name] for name in _LOSS_BATCH_DTYPE.names))
-
-
 def batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths=None,
                       x_ids=None) -> LossBatch:
     """Materialize a LossBatch for outcomes sampled from a K-way policy."""
     outcomes = np.asarray(outcomes, dtype=np.int64)
-    log_pi = _log_softmax(np.asarray(logits, dtype=np.float64))
+    log_pi = _log_softmax(logits)
     ref_log_probs = np.asarray(ref_log_probs, dtype=np.float64)
     if lengths is None:
         lengths = np.ones_like(outcomes)
@@ -201,11 +183,6 @@ def batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths=None,
 
 # ---------------------------------------------------------------------------
 # Losses
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max()
-    return shifted - math.log(np.exp(shifted).sum())
 
 
 def marge_loss(batch: LossBatch, lam: float = 0.0, beta: float = 1.0) -> float:
@@ -242,50 +219,62 @@ def dpo_loss(ratio_w, ratio_l, beta: float = 1.0) -> float:
     return float(np.mean(-_log_sigmoid(beta * (ratio_w - ratio_l))))
 
 
-def _log_sigmoid(z: np.ndarray) -> np.ndarray:
+def _log_sigmoid(z) -> np.ndarray:
     # log sigmoid(z) = -log(1 + e^-z), stable on both tails
-    out = np.where(z >= 0, -np.log1p(np.exp(-np.abs(z))), z - np.log1p(np.exp(-np.abs(z))))
-    return out
+    return -np.logaddexp(0.0, -z)
 
 
 def dpo_loss_from_logits(logits, ref_log_probs, winners, losers, beta: float = 1.0) -> float:
-    log_pi = _log_softmax(np.asarray(logits, dtype=np.float64))
+    """DPO loss of the policy softmax(logits); a 2-D table scores pair i on row i."""
+    return dpo_loss(*_pair_ratios(logits, ref_log_probs, winners, losers)[2:], beta)
+
+
+def _pair_ratios(logits, ref_log_probs, winners, losers):
+    """The index of each pair's winner and loser into the logit table, and
+    their log-ratios log pi - log ref. A 1-D table is one policy; a 2-D
+    table is conditional, one row per pair."""
+    log_pi = _log_softmax(logits)
     ref_log_probs = np.asarray(ref_log_probs, dtype=np.float64)
     winners = np.asarray(winners, dtype=np.int64)
     losers = np.asarray(losers, dtype=np.int64)
-    ratio_w = log_pi[winners] - ref_log_probs[winners]
-    ratio_l = log_pi[losers] - ref_log_probs[losers]
-    return dpo_loss(ratio_w, ratio_l, beta)
+    require(winners.shape == losers.shape and winners.size >= 1,
+            f"winners and losers must have equal, nonempty shapes, "
+            f"got {winners.shape} and {losers.shape}")
+    if log_pi.ndim == 2:
+        require(winners.shape == (log_pi.shape[0],),
+                f"a 2-D logit table needs one row per preference pair, "
+                f"got {log_pi.shape[0]} rows for {winners.shape} pairs")
+        rows = np.arange(log_pi.shape[0])
+        winners, losers = (rows, winners), (rows, losers)
+    return (winners, losers, log_pi[winners] - ref_log_probs[winners],
+            log_pi[losers] - ref_log_probs[losers])
 
 
 # ---------------------------------------------------------------------------
 # Analytic gradients with respect to policy logits
 
 
-def _score_jacobian(logits: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """d log pi(y_i) / d s_k = 1[y_i = k] - softmax(s)_k, shape (M, K)."""
-    probs = DiscretePolicy.from_logits(logits).probabilities
-    onehot = np.zeros((outcomes.shape[0], logits.shape[0]))
-    onehot[np.arange(outcomes.shape[0]), outcomes] = 1.0
-    return onehot - probs[None, :]
-
-
-def _weight_jacobian(weights: np.ndarray, score_jac: np.ndarray) -> np.ndarray:
-    """d w~_i / d s_k = w~_i (d_ik - sum_j w~_j d_jk), shape (M, K)."""
-    mean_jac = weights @ score_jac
-    return weights[:, None] * (score_jac - mean_jac[None, :])
+def _batch_jacobians(logits, ref_log_probs, outcomes, rewards, lengths):
+    """The batch ``batch_from_logits`` builds, its weights w~, and two (M, K)
+    jacobians in the logits s: d log pi(y_i) / d s_k = 1[y_i = k] - softmax(s)_k
+    and d w~_i / d s_k = w~_i (d_ik - sum_j w~_j d_jk), d being the first."""
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    batch = batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths)
+    weights = batch.normalized_weights
+    probs = np.exp(_log_softmax(logits))
+    score_jac = np.zeros((outcomes.shape[0], probs.shape[0]))
+    score_jac[np.arange(outcomes.shape[0]), outcomes] = 1.0
+    score_jac -= probs[None, :]
+    weight_jac = weights[:, None] * (score_jac - (weights @ score_jac)[None, :])
+    return batch, weights, score_jac, weight_jac
 
 
 def marge_loss_grad(logits, ref_log_probs, outcomes, rewards, lengths=None,
                     lam: float = 0.0, beta: float = 1.0) -> np.ndarray:
     require_temperature("lam", lam)
     require_temperature("beta", beta)
-    logits = np.asarray(logits, dtype=np.float64)
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    batch = batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths)
-    weights = batch.normalized_weights
-    score_jac = _score_jacobian(logits, outcomes)
-    weight_jac = _weight_jacobian(weights, score_jac)
+    batch, weights, score_jac, weight_jac = _batch_jacobians(
+        logits, ref_log_probs, outcomes, rewards, lengths)
     per_token = batch.log_pi_theta / batch.lengths
     terms = per_token - beta * batch.rewards
     per_token_jac = score_jac / batch.lengths[:, None]
@@ -298,12 +287,8 @@ def marge_loss_grad(logits, ref_log_probs, outcomes, rewards, lengths=None,
 def reinforce_loss_grad(logits, ref_log_probs, outcomes, rewards, lengths=None,
                         lam: float = 0.0) -> np.ndarray:
     require_temperature("lam", lam)
-    logits = np.asarray(logits, dtype=np.float64)
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    batch = batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths)
-    weights = batch.normalized_weights
-    score_jac = _score_jacobian(logits, outcomes)
-    weight_jac = _weight_jacobian(weights, score_jac)
+    batch, weights, score_jac, weight_jac = _batch_jacobians(
+        logits, ref_log_probs, outcomes, rewards, lengths)
     terms = -batch.rewards * batch.log_pi_theta
     grad = (weight_jac * terms[:, None]).sum(axis=0)
     grad += (weights[:, None] * (-batch.rewards[:, None] * score_jac)).sum(axis=0)
@@ -313,25 +298,16 @@ def reinforce_loss_grad(logits, ref_log_probs, outcomes, rewards, lengths=None,
 
 def dpo_loss_grad(logits, ref_log_probs, winners, losers, beta: float = 1.0) -> np.ndarray:
     require_temperature("beta", beta)
-    logits = np.asarray(logits, dtype=np.float64)
-    winners = np.asarray(winners, dtype=np.int64)
-    losers = np.asarray(losers, dtype=np.int64)
-    log_pi = _log_softmax(logits)
-    ref_log_probs = np.asarray(ref_log_probs, dtype=np.float64)
-    delta = (log_pi[winners] - ref_log_probs[winners]) - (log_pi[losers] - ref_log_probs[losers])
+    winners, losers, ratio_w, ratio_l = _pair_ratios(logits, ref_log_probs, winners, losers)
     # d/ds_k of -log sigmoid(beta * delta) = (sigmoid(beta delta) - 1) * beta
     #   * (d delta / d s_k), and d delta / d s_k = 1[y_w=k] - 1[y_l=k]
-    # because the softmax normalization cancels between winner and loser.
-    factor = (_sigmoid(beta * delta) - 1.0) * beta
-    grad = np.zeros_like(logits)
+    # because the softmax normalization of the pair's row cancels between
+    # winner and loser; sigmoid(z) - 1 = -sigmoid(-z).
+    factor = -beta * np.exp(_log_sigmoid(-beta * (ratio_w - ratio_l)))
+    grad = np.zeros(np.shape(logits))
     np.add.at(grad, winners, factor)
     np.add.at(grad, losers, -factor)
-    return grad / winners.shape[0]
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return np.where(z >= 0, 1.0 / (1.0 + np.exp(-np.abs(z))),
-                    np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    return grad / ratio_w.size
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +349,7 @@ def solve_frekl(pi_star, pi_ref, lam: float, tolerance: float = 1e-12,
     require(bool((ref > 0).all()), "pi_ref must be strictly positive")
     require_temperature("lam", lam)
     require(tolerance > 0, f"tolerance must be positive, got {tolerance}")
+    require_counts(1, max_iters=max_iters)
 
     # The optimum interpolates pi_star (lam -> 0) and pi_ref (lam -> inf);
     # a log-space blend is an excellent warm start at both extremes.

@@ -17,6 +17,7 @@ process speaking ``<inc> [t1, t2, ...]`` prompts.
 
 from __future__ import annotations
 
+import numbers
 import re
 import subprocess
 from dataclasses import dataclass
@@ -72,8 +73,9 @@ class MutationProposer:
     position_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        require(0.0 < self.mutation_rate < 1.0,
-                f"mutation_rate must be in (0, 1), got {self.mutation_rate}")
+        rate = self.mutation_rate
+        require(isinstance(rate, numbers.Real) and 0.0 < rate < 1.0,
+                f"mutation_rate must be in (0, 1), got {rate!r}")
         require_counts(1, vocab_size=self.vocab_size, length=self.length)
         weights = np.ones(self.length) if self.position_weights is None else self.position_weights
         weights = np.asarray(weights, dtype=np.float64)

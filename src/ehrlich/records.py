@@ -18,6 +18,7 @@ import errno
 import hashlib
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParamsError, ParseError, require
+from .errors import InvalidParamsError, ParseError, require, require_integers
 from .function import regret_of_value, token_dtype
 from .instance_io import read_text, write_text
 from .losses import margin_reward
@@ -345,6 +346,9 @@ def make_run_record(
     """
     require((tokens is None) != (unique is None),
             "give exactly one of tokens= and unique=")
+    require_integers(instance_seed=instance_seed)
+    require(isinstance(duration_seconds, numbers.Real),
+            f"duration_seconds must be a number, got {duration_seconds!r}")
     values = np.asarray(values, dtype=np.float64)
     return RunRecord(
         run_id=run_id,

@@ -5,8 +5,6 @@ exact rationals) and deliberately avoids reusing the package's own
 vectorized code paths, so agreement between the two is meaningful.
 """
 
-import csv
-import io
 from fractions import Fraction
 from itertools import product
 
@@ -327,21 +325,6 @@ def sweep_table_csv(axis, base_name, instance_seed, budget, seeds, marks, median
         cells = [str(mark)] + [repr(float(column[row])) for column in medians.values()]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
-
-
-def loss_batch_csv(batch) -> str:
-    """A ``csv.writer`` loss batch: a "\\n" version line, then "\\r\\n" rows."""
-    handle = io.StringIO()
-    handle.write("# loss-batch v1\n")
-    writer = csv.writer(handle)
-    writer.writerow(("x_id", "y_id", "log_pi_theta", "log_pi_ref", "reward", "length"))
-    for i in range(len(batch)):
-        writer.writerow([
-            int(batch.x_ids[i]), int(batch.y_ids[i]),
-            repr(float(batch.log_pi_theta[i])), repr(float(batch.log_pi_ref[i])),
-            repr(float(batch.rewards[i])), int(batch.lengths[i]),
-        ])
-    return handle.getvalue()
 
 
 # Reference sequence-file reader and writer: the per-line, per-token loops

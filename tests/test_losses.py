@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from ehrlich.errors import ConvergenceError, InvalidParamsError, ParseError
+from ehrlich.errors import ConvergenceError, InvalidParamsError
 from ehrlich.losses import (
     DiscretePolicy,
     LossBatch,
@@ -21,12 +21,10 @@ from ehrlich.losses import (
     margin_reward,
     marge_loss,
     marge_loss_grad,
-    read_loss_batch,
     reinforce_loss,
     reinforce_loss_grad,
     solve_frekl,
     translation_invariance_check,
-    write_loss_batch,
 )
 
 
@@ -133,78 +131,6 @@ class TestLossBatch:
             rewards=rng.uniform(0, 1, size=8), lengths=np.ones(8, dtype=int),
         )
         assert batch.normalized_weights.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_csv_round_trip(self, tmp_path, rng):
-        batch = LossBatch(
-            x_ids=np.array([0, 0, 1]), y_ids=np.array([2, 3, 1]),
-            log_pi_theta=np.array([-0.25, -1.5, -2.75]),
-            log_pi_ref=np.array([-0.5, -1.0, -3.5]),
-            rewards=np.array([0.0, 0.125, 0.5]), lengths=np.array([1, 4, 2]),
-        )
-        path = tmp_path / "batch.csv"
-        write_loss_batch(batch, path)
-        back = read_loss_batch(path)
-        for field in ("x_ids", "y_ids", "log_pi_theta", "log_pi_ref", "rewards", "lengths"):
-            assert np.array_equal(getattr(back, field), getattr(batch, field))
-
-    def test_csv_rejects_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("x_id,y_id\n1,2\n")
-        with pytest.raises(ParseError, match="version header"):
-            read_loss_batch(path)
-        path.write_text("# loss-batch v99\nx_id,y_id,log_pi_theta,log_pi_ref,reward,length\n")
-        with pytest.raises(ParseError, match="unsupported"):
-            read_loss_batch(path)
-
-    def test_csv_rejects_malformed_rows(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text(
-            "# loss-batch v1\nx_id,y_id,log_pi_theta,log_pi_ref,reward,length\n0,1,oops,-0.5,0.1,1\n"
-        )
-        with pytest.raises(ParseError, match="malformed"):
-            read_loss_batch(path)
-
-    @staticmethod
-    def mixed_batch():
-        return LossBatch(
-            x_ids=np.array([0, 3, 1, 2]), y_ids=np.array([2, 3, 1, 0]),
-            log_pi_theta=np.array([-2.0 / 3.0, -0.0, -1e-300, -(0.1 + 0.2)]),
-            log_pi_ref=np.array([-0.5, -1.0, -3.5, -2.0 / 3.0]),
-            rewards=np.array([0.0, 0.1 + 0.2, -0.0, 2.0 / 3.0]),
-            lengths=np.array([1, 4, 2, 7]),
-        )
-
-    def test_csv_matches_reference_apart_from_line_endings(self, tmp_path):
-        batch = self.mixed_batch()
-        path = tmp_path / "batch.csv"
-        write_loss_batch(batch, path)
-        assert path.read_bytes() == oracles.loss_batch_csv(batch).replace("\r\n", "\n").encode()
-
-    def test_csv_reads_crlf_rows(self, tmp_path):
-        batch = self.mixed_batch()
-        path = tmp_path / "batch.csv"
-        with open(path, "w", newline="") as handle:
-            handle.write(oracles.loss_batch_csv(batch))
-        assert b"\r\n" in path.read_bytes()
-        back = read_loss_batch(path)
-        for field in ("x_ids", "y_ids", "log_pi_theta", "log_pi_ref", "rewards", "lengths"):
-            assert getattr(back, field).tobytes() == getattr(batch, field).tobytes()
-
-    @pytest.mark.parametrize("row, message", [
-        ("1,2,-0.5,-0.5,0.1", "expected 6 fields, got 5"),
-        ("1,2,-0.5,half,0.1,1", "could not convert"),
-    ], ids=["short-row", "non-numeric-field"])
-    def test_csv_error_names_the_file_line(self, tmp_path, row, message):
-        lines = ["# loss-batch v1", "x_id,y_id,log_pi_theta,log_pi_ref,reward,length",
-                 "0,1,-0.25,-0.5,0.0,1", row]
-        path = tmp_path / "bad.csv"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=f"malformed loss batch data line 4: {message}"):
-            read_loss_batch(path)
-        lines[2:2] = ["# a comment in the body", ""]
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=f"malformed loss batch data line 6: {message}"):
-            read_loss_batch(path)
 
 
 def random_instance(rng, num_outcomes=5, batch_size=8):
@@ -325,6 +251,46 @@ class TestDpoLoss:
             numeric = oracles.central_difference_gradient(loss_at, logits, 1e-5)
             scale = max(np.abs(numeric).max(), 1e-12)
             assert np.abs(analytic - numeric).max() / scale < 1e-5
+
+    @staticmethod
+    def conditional_instance(rng, pairs=6, num_outcomes=5):
+        """A 2-D logit table and reference with one row per preference pair."""
+        logits = rng.normal(size=(pairs, num_outcomes))
+        ref = DiscretePolicy.from_logits(rng.normal(size=(pairs, num_outcomes))).log_probs
+        winners = rng.integers(0, num_outcomes, size=pairs)
+        losers = (winners + rng.integers(1, num_outcomes, size=pairs)) % num_outcomes
+        return logits, ref, winners, losers
+
+    def test_conditional_table_scores_pair_i_on_row_i(self, rng):
+        logits, ref, winners, losers = self.conditional_instance(rng)
+        value = dpo_loss_from_logits(logits, ref, winners, losers, beta=1.3)
+        per_pair = [dpo_loss_from_logits(logits[i], ref[i], winners[i:i + 1], losers[i:i + 1],
+                                         beta=1.3) for i in range(len(winners))]
+        assert value == pytest.approx(np.mean(per_pair), abs=1e-14)
+        shifted = logits.copy()
+        shifted[2] += 3.0  # a row's softmax cannot see a shift of that row
+        assert dpo_loss_from_logits(shifted, ref, winners, losers, beta=1.3) == pytest.approx(
+            value, abs=1e-14)
+
+    def test_conditional_gradient_matches_finite_differences(self, rng):
+        for _ in range(10):
+            logits, ref, winners, losers = self.conditional_instance(rng)
+            beta = rng.uniform(0.5, 3)
+
+            def loss_at(flat):
+                return dpo_loss_from_logits(flat.reshape(logits.shape), ref, winners, losers, beta)
+
+            analytic = dpo_loss_grad(logits, ref, winners, losers, beta)
+            numeric = oracles.central_difference_gradient(loss_at, logits.ravel(), 1e-5)
+            assert analytic.shape == logits.shape
+            scale = max(np.abs(numeric).max(), 1e-12)
+            assert np.abs(analytic.ravel() - numeric).max() / scale < 1e-5
+
+    @pytest.mark.parametrize("call", [dpo_loss_from_logits, dpo_loss_grad])
+    def test_conditional_table_needs_one_row_per_pair(self, call):
+        table = np.zeros((3, 4))
+        with pytest.raises(InvalidParamsError, match="one row per preference pair"):
+            call(table, table, [0, 1], [1, 2])
 
 
 class TestFreklObjective:

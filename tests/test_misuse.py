@@ -19,11 +19,13 @@ import pytest
 import ehrlich
 from ehrlich import (
     CandidateSet,
+    DiscretePolicy,
     EhrlichParams,
     GAConfig,
     InvalidParamsError,
     LoopConfig,
     LossBatch,
+    MutationProposer,
     PresolverData,
     RefinementDataset,
     RegretCurve,
@@ -43,8 +45,10 @@ from ehrlich import (
     is_feasible,
     iterative_refinement,
     kl_divergence,
+    make_run_record,
     margin_reward,
     marge_loss,
+    motif_score,
     mutate,
     read_instance,
     read_pareto_report,
@@ -56,6 +60,7 @@ from ehrlich import (
     response,
     run_ga,
     sample_dmp,
+    solve_frekl,
     unique_flags,
 )
 from ehrlich.losses import dpo_loss_from_logits, dpo_loss_grad, marge_loss_grad
@@ -70,6 +75,13 @@ LOSS_BATCH = LossBatch(x_ids=[0, 0], y_ids=[0, 1], log_pi_theta=[-0.5, -1.0],
 CONFIG = LoopConfig(seeds_per_round=2, refine_iters=1, samples_per_iter=2,
                     base_temperatures=(1.0,))
 N = len(BATCH)
+
+
+def _record(**overrides):
+    return make_run_record(**{**dict(
+        run_id="r", instance_name=FUNCTION.params.name, instance_seed=1, solver="ga",
+        config={}, values=[0.5], rounds=[0], duration_seconds=1.0, unique=[True]),
+        **overrides})
 
 
 def _with(good, token):
@@ -235,6 +247,18 @@ def test_every_token_entry_point_is_in_the_table():
     lambda: dpo_loss_from_logits([0.0, 0.0], [-0.7, -0.7], [0], [1], beta=-1.0),
     lambda: dpo_loss_grad([0.0, 0.0], [-0.7, -0.7], [0], [1], beta=math.nan),
     lambda: boltzmann_target([0.0, 1.0], beta=-1.0),
+    lambda: adjust_temperatures(1.0, 0.0),
+    lambda: response("a", 0),
+    lambda: response(np.array([0.5, 0.2]), 0),
+    lambda: motif_score(ROW, FUNCTION.motifs.motifs[0], FUNCTION.motifs.offsets[0], 0),
+    lambda: EhrlichParams(4, 16, 2, 2, 2, epistasis_factor="0.5"),
+    lambda: EhrlichParams(4, 16, 2, 2, 2, softmax_temperature="1.0"),
+    lambda: EhrlichParams(4, 16, 2, 2, 2, feasible_fraction="0.75"),
+    lambda: MutationProposer("x", V, L),
+    lambda: _record(duration_seconds="x"),
+    lambda: _record(instance_seed="a"),
+    lambda: DiscretePolicy.uniform(2.5),
+    lambda: solve_frekl([0.5, 0.5], [0.5, 0.5], 1.0, max_iters=2.5),
 ], ids=["mutate n_per=-1", "mutate n_per=1.5", "mutate vocab_size=0",
         "mutate (3,) probability for L=16", "mutate p=2", "mutate p=NaN", "mutate p='0.1'",
         "mutate seed=1.5", "recombine count=-1", "recombine p=NaN", "recombine p=True",
@@ -253,7 +277,13 @@ def test_every_token_entry_point_is_in_the_table():
         "response to a presence of 2", "adjust_temperatures of a string base",
         "dpo_loss beta=-1", "dpo_loss beta=inf", "marge_loss beta=-2", "marge_loss beta=NaN",
         "marge_loss lam=-1", "marge_loss_grad lam=inf", "dpo_loss_from_logits beta=-1",
-        "dpo_loss_grad beta=NaN", "boltzmann_target beta=-1"])
+        "dpo_loss_grad beta=NaN", "boltzmann_target beta=-1",
+        "adjust_temperatures of a float base", "response to a string presence",
+        "response to an array presence", "motif_score quantization=0",
+        "EhrlichParams epistasis_factor='0.5'", "EhrlichParams softmax_temperature='1.0'",
+        "EhrlichParams feasible_fraction='0.75'", "MutationProposer mutation_rate='x'",
+        "make_run_record duration_seconds='x'", "make_run_record instance_seed='a'",
+        "DiscretePolicy.uniform of 2.5", "solve_frekl max_iters=2.5"])
 def test_bad_parameters_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):
         call()

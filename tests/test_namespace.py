@@ -47,6 +47,14 @@ def test_generate_and_score_load_only_the_scoring_modules():
     """) == ["ehrlich.errors", "ehrlich.function", "ehrlich.kernels", "ehrlich.rng"]
 
 
+def test_the_loss_lab_is_a_leaf_module():
+    assert run_fresh(f"""
+        import json, sys
+        import ehrlich.losses
+        print(json.dumps({LOADED}))
+    """) == ["ehrlich.errors", "ehrlich.losses"]
+
+
 def test_every_public_name_is_the_object_its_module_defines():
     wrong = run_fresh("""
         import importlib, inspect, json
