@@ -13,19 +13,19 @@ __version__ = "0.1.0"
 
 # Each public name, by the submodule that defines it.
 _EXPORTS = {name: module for module, names in {
-    "errors": """ConstructionError ConvergenceError EhrlichError GenerationError
-        GeneratorCollapseError InvalidParamsError ParseError""",
+    "errors": """ConstructionError EhrlichError GenerationError GeneratorCollapseError
+        InvalidParamsError ParseError""",
     "function": """EhrlichFunction EhrlichParams ScoredSequence SpacedMotifs
         TransitionMatrix build_motifs build_transition_matrix check_ergodic
-        construct_optimum evaluate evaluate_batch generate is_feasible motif_product
-        motif_score regret response sample_dmp""",
+        construct_optimum evaluate evaluate_batch generate is_feasible margin_reward
+        motif_product motif_score regret response sample_dmp""",
     "ga": "GAConfig GAState ga_step init_ga mutate recombine run_ga",
     "instance_io": "parse_instance read_instance serialize_instance write_instance",
     "llome": """CandidateSet LlomeResult LoopConfig PresolverData RefinementDataset
         RoundStats ScoredSet adjust_temperatures filter_candidates format_dataset
         iterative_refinement run_llome run_presolver""",
     "losses": """DiscretePolicy LossBatch boltzmann_target dpo_loss frekl_objective
-        kl_divergence margin_reward marge_loss reinforce_loss solve_frekl
+        kl_divergence marge_loss reinforce_loss solve_frekl
         translation_invariance_check""",
     "proposers": """EchoProposer MutationProposer ProposalGenerator StdioProposer
         baseline_mutation_proposer""",

@@ -31,7 +31,6 @@ import numpy as np
 
 from .errors import (
     ConstructionError,
-    ConvergenceError,
     EhrlichError,
     GenerationError,
     GeneratorCollapseError,
@@ -314,13 +313,8 @@ def _execute_ga(function, args, seed: int, run_id: str, out_dir: Path) -> RunRec
         run_ga(ledger, config, budget=args.budget, stop_on_optimum=not args.no_early_stop)
         return 1, None
 
-    record = _execute(function, run_id, "ga", dict(dataclasses.asdict(config), budget=args.budget),
-                      solve, out_dir)
-    if record.num_evals > args.budget:
-        raise GenerationError(
-            f"run {run_id} exceeded the budget: {record.num_evals} > {args.budget}"
-        )
-    return record
+    return _execute(function, run_id, "ga", dict(dataclasses.asdict(config), budget=args.budget),
+                    solve, out_dir)
 
 
 # --- run-ga ---------------------------------------------------------------
@@ -588,7 +582,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
-    except (GeneratorCollapseError, GenerationError, ConvergenceError) as exc:
+    except (GeneratorCollapseError, GenerationError) as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
     except (InvalidParamsError, ParseError, ConstructionError) as exc:

@@ -2,8 +2,7 @@
 
 The CLI maps these onto exit codes: invalid input (bad parameters,
 malformed documents or sequence files) exits 2, solver aborts
-(generation retries exhausted, generator collapse, non-convergence)
-exit 3.
+(generation retries exhausted, generator collapse) exit 3.
 """
 
 from __future__ import annotations
@@ -35,10 +34,6 @@ class GenerationError(EhrlichError):
 
 class GeneratorCollapseError(EhrlichError):
     """A proposal generator produced too few usable candidates."""
-
-
-class ConvergenceError(EhrlichError):
-    """An iterative solver failed to reach the requested tolerance."""
 
 
 def require(condition: bool, message: str) -> None:

@@ -607,3 +607,21 @@ def regret_of_value(value) -> float:
     values = np.asarray(value, dtype=np.float64)
     out = np.where(np.isneginf(values), np.inf, 1.0 - values)
     return float(out) if np.isscalar(value) or values.ndim == 0 else out
+
+
+def margin_reward(f_x, f_y):
+    """max(f_y - f_x, 0) after remapping -inf (infeasible) to 0; the two
+    shapes must broadcast."""
+    fx, fy = np.asarray(f_x), np.asarray(f_y)
+    for name, array in (("f_x", fx), ("f_y", fy)):
+        require(array.dtype.kind in "iuf", f"{name} must hold numbers, got {array.dtype}")
+    fx, fy = fx.astype(np.float64, copy=False), fy.astype(np.float64, copy=False)
+    try:
+        np.broadcast_shapes(fx.shape, fy.shape)
+    except ValueError:
+        raise InvalidParamsError(
+            f"f_x and f_y shapes must broadcast, got {fx.shape} and {fy.shape}") from None
+    fx = np.where(np.isneginf(fx), 0.0, fx)
+    fy = np.where(np.isneginf(fy), 0.0, fy)
+    out = np.where(fy > fx, fy - fx, 0.0)
+    return float(out) if out.ndim == 0 else out

@@ -22,10 +22,10 @@ import numpy as np
 from . import rng
 from .errors import (GeneratorCollapseError, require, require_counts, require_probability,
                      require_seed, require_temperature)
-from .function import ScoredSequence, as_tokens, incumbent_of, regret_of_value, token_dtype
+from .function import (ScoredSequence, as_tokens, incumbent_of, margin_reward, regret_of_value,
+                       token_dtype)
 from .ga import GAConfig, run_ga
 from .kernels import feasible_rows
-from .losses import margin_reward
 from .records import EvalLedger
 
 

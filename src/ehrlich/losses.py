@@ -3,8 +3,8 @@
 Everything here operates on small enumerable outcome spaces where
 policies are probability tables, so the losses, their gradients, and
 the KL-based objectives can be computed exactly and checked against
-finite differences. Infeasible objective values (-inf) are remapped to
-0 at this layer before rewards are formed.
+finite differences. Outcome ids index the last axis of a logit table
+and must be integers in [0, K).
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, InvalidParamsError, require, require_counts,
-                     require_temperature)
+from .errors import require, require_counts, require_temperature
 
 
 # ---------------------------------------------------------------------------
@@ -86,30 +85,6 @@ def _probs_of(policy) -> np.ndarray:
     return DiscretePolicy(policy).probabilities
 
 
-# ---------------------------------------------------------------------------
-# Rewards
-
-
-def margin_reward(f_x, f_y):
-    """max(f_y - f_x, 0) after remapping -inf (infeasible) to 0; the two
-    shapes must broadcast."""
-    fx, fy = np.asarray(f_x), np.asarray(f_y)
-    for name, array in (("f_x", fx), ("f_y", fy)):
-        require(array.dtype.kind in "iuf", f"{name} must hold numbers, got {array.dtype}")
-    fx, fy = fx.astype(np.float64, copy=False), fy.astype(np.float64, copy=False)
-    try:
-        np.broadcast_shapes(fx.shape, fy.shape)
-    except ValueError:
-        raise InvalidParamsError(
-            f"f_x and f_y shapes must broadcast, got {fx.shape} and {fy.shape}") from None
-    fx = np.where(np.isneginf(fx), 0.0, fx)
-    fy = np.where(np.isneginf(fy), 0.0, fy)
-    out = np.where(fy > fx, fy - fx, 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def boltzmann_target(rewards, beta: float) -> DiscretePolicy:
     """Probabilities proportional to exp(beta * reward)."""
     require_temperature("beta", beta)
@@ -164,21 +139,28 @@ class LossBatch:
 def batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths=None,
                       x_ids=None) -> LossBatch:
     """Materialize a LossBatch for outcomes sampled from a K-way policy."""
-    outcomes = np.asarray(outcomes, dtype=np.int64)
+    log_pi, ref_log_probs, outcomes = _tables_and_ids(logits, ref_log_probs, outcomes=outcomes)
+    x_ids = np.zeros_like(outcomes) if x_ids is None else x_ids
+    lengths = np.ones_like(outcomes) if lengths is None else lengths
+    return LossBatch(x_ids, outcomes, log_pi[outcomes], ref_log_probs[outcomes], rewards, lengths)
+
+
+def _tables_and_ids(logits, ref_log_probs, **ids):
+    """The log-softmax of ``logits``, ``ref_log_probs`` as a table of the
+    same shape, and each named id array as int64, which must hold integer
+    outcome ids in [0, K), K being the size of the tables' last axis."""
     log_pi = _log_softmax(logits)
     ref_log_probs = np.asarray(ref_log_probs, dtype=np.float64)
-    if lengths is None:
-        lengths = np.ones_like(outcomes)
-    if x_ids is None:
-        x_ids = np.zeros_like(outcomes)
-    return LossBatch(
-        x_ids=x_ids,
-        y_ids=outcomes,
-        log_pi_theta=log_pi[outcomes],
-        log_pi_ref=ref_log_probs[outcomes],
-        rewards=rewards,
-        lengths=lengths,
-    )
+    require(ref_log_probs.shape == log_pi.shape,
+            f"ref_log_probs shape {ref_log_probs.shape} != logits shape {log_pi.shape}")
+    num_outcomes = log_pi.shape[-1]
+    checked = []
+    for name, value in ids.items():
+        array = np.asarray(value)
+        require(array.dtype.kind in "iu" and bool(((array >= 0) & (array < num_outcomes)).all()),
+                f"{name} must hold integer outcome ids in [0, {num_outcomes})")
+        checked.append(array.astype(np.int64))
+    return log_pi, ref_log_probs, *checked
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +215,8 @@ def _pair_ratios(logits, ref_log_probs, winners, losers):
     """The index of each pair's winner and loser into the logit table, and
     their log-ratios log pi - log ref. A 1-D table is one policy; a 2-D
     table is conditional, one row per pair."""
-    log_pi = _log_softmax(logits)
-    ref_log_probs = np.asarray(ref_log_probs, dtype=np.float64)
-    winners = np.asarray(winners, dtype=np.int64)
-    losers = np.asarray(losers, dtype=np.int64)
+    log_pi, ref_log_probs, winners, losers = _tables_and_ids(
+        logits, ref_log_probs, winners=winners, losers=losers)
     require(winners.shape == losers.shape and winners.size >= 1,
             f"winners and losers must have equal, nonempty shapes, "
             f"got {winners.shape} and {losers.shape}")
@@ -258,8 +238,8 @@ def _batch_jacobians(logits, ref_log_probs, outcomes, rewards, lengths):
     """The batch ``batch_from_logits`` builds, its weights w~, and two (M, K)
     jacobians in the logits s: d log pi(y_i) / d s_k = 1[y_i = k] - softmax(s)_k
     and d w~_i / d s_k = w~_i (d_ik - sum_j w~_j d_jk), d being the first."""
-    outcomes = np.asarray(outcomes, dtype=np.int64)
     batch = batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths)
+    outcomes = batch.y_ids
     weights = batch.normalized_weights
     probs = np.exp(_log_softmax(logits))
     score_jac = np.zeros((outcomes.shape[0], probs.shape[0]))
@@ -332,14 +312,33 @@ def frekl_fixed_point_residual(pi_theta, pi_star, pi_ref, lam: float) -> float:
     return float(stationarity.max() - stationarity.min())
 
 
-def solve_frekl(pi_star, pi_ref, lam: float, tolerance: float = 1e-12,
-                max_iters: int = 20000) -> DiscretePolicy:
-    """Minimize the forward-reverse KL objective over the simplex.
+_NEWTON_STEPS = 100  # a bound only: each Newton iteration below stops long before it
 
-    Multiplicative (exponentiated-gradient) updates with a backtracking
-    step size keep iterates interior, so the reverse-KL term never blows
-    up. Stops when an accepted step decreases the objective by less than
-    the tolerance.
+
+def _log_lambert_w(x: np.ndarray) -> np.ndarray:
+    """log W(e^x) elementwise: the root t of e^t + t = x.
+
+    Newton iterates from a start above the root; the map is increasing and
+    convex, so they fall monotonically onto it and stop when none moves.
+    """
+    t = np.where(x > 1.0, np.log(np.maximum(x, 1.0)), x)
+    for _ in range(_NEWTON_STEPS):
+        exp_t = np.exp(t)
+        lower = t - np.maximum((exp_t + t - x) / (exp_t + 1.0), 0.0)
+        if not (lower < t).any():
+            break
+        t = lower
+    return t
+
+
+def solve_frekl(pi_star, pi_ref, lam: float) -> DiscretePolicy:
+    """Minimize the forward-reverse KL objective over the simplex, exactly.
+
+    With s = pi*, r = pi_ref and a multiplier c, each outcome's
+    stationarity condition log pi - lam r / pi = c + log s has the closed
+    form log pi(c) = log(lam r) - log W(lam r e^-c / s), W being Lambert's
+    W function; log sum pi(c) increases in c with slope in (0, 1], so one
+    Newton root in c normalizes it. lam = 0 returns pi* as given.
     """
     star = _probs_of(pi_star)
     ref = _probs_of(pi_ref)
@@ -348,40 +347,32 @@ def solve_frekl(pi_star, pi_ref, lam: float, tolerance: float = 1e-12,
     require(bool((star > 0).all()), "pi_star must be strictly positive")
     require(bool((ref > 0).all()), "pi_ref must be strictly positive")
     require_temperature("lam", lam)
-    require(tolerance > 0, f"tolerance must be positive, got {tolerance}")
-    require_counts(1, max_iters=max_iters)
+    if lam == 0.0:
+        return DiscretePolicy(star)
 
-    # The optimum interpolates pi_star (lam -> 0) and pi_ref (lam -> inf);
-    # a log-space blend is an excellent warm start at both extremes.
-    logits = (np.log(star) + lam * np.log(ref)) / (1.0 + lam)
-    policy = DiscretePolicy.from_logits(logits)
-    objective = frekl_objective(policy, star, ref, lam)
-    step = 0.1
-
-    for _ in range(max_iters):
-        pi = policy.probabilities
-        gradient = np.log(pi) - np.log(star) + 1.0 - lam * ref / pi
-        gradient -= gradient.mean()
-        trial_logits = logits - step * gradient
-        trial_policy = DiscretePolicy.from_logits(trial_logits)
-        trial_objective = frekl_objective(trial_policy, star, ref, lam)
-        if trial_objective < objective:
-            decrease = objective - trial_objective
-            logits, policy, objective = trial_logits, trial_policy, trial_objective
-            step *= 1.2
-            if decrease < tolerance:
-                return policy
-        else:
-            step /= 2.0
-            if step < 1e-18:
-                # Step size exhausted by float precision: already optimal.
-                return policy
-
-    residual = frekl_fixed_point_residual(policy, star, ref, lam)
-    raise ConvergenceError(
-        f"solve_frekl: no convergence in {max_iters} iterations "
-        f"(fixed-point residual {residual:.3e}, objective {objective:.6e})"
-    )
+    log_star = np.log(star)
+    log_lam_ref = math.log(lam) + np.log(ref)  # log(lam r), which cannot underflow
+    # The root is c = KL(pi || pi*) - lam, in [-lam, min(0, -lam - log min pi*)].
+    # Log sum pi(c) is convex in c, so Newton steps from the top fall onto it.
+    floor = -lam
+    c = min(0.0, floor - float(log_star.min()))
+    for _ in range(_NEWTON_STEPS):
+        log_w = _log_lambert_w(log_lam_ref - log_star - c)
+        log_pi = log_lam_ref - log_w
+        top = float(log_pi.max())
+        mass = np.exp(log_pi - top)
+        total = float(mass.sum())
+        excess = top + math.log(total)  # log sum pi(c)
+        if not excess > 0.0:
+            break
+        slope = float((mass / (1.0 + np.exp(log_w))).sum()) / total
+        next_c = max(c - excess / slope, floor)
+        if not next_c < c:
+            break
+        c = next_c
+    # Renormalizing would shift each log pi alike and break stationarity by
+    # that shift times lam r / pi; the sum is within rounding of 1 already.
+    return DiscretePolicy(np.exp(log_pi))
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import InvalidParamsError, ParseError, require, require_integers
-from .function import regret_of_value, token_dtype
+from .function import margin_reward, regret_of_value, token_dtype
 from .instance_io import read_text, write_text
-from .losses import margin_reward
 from .tables import _row_blocks, format_table, read_table
 
 RUN_RECORD_VERSION = 1

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from ehrlich.errors import ConvergenceError, InvalidParamsError
+from ehrlich.errors import InvalidParamsError
+from ehrlich.function import margin_reward
 from ehrlich.losses import (
     DiscretePolicy,
     LossBatch,
@@ -18,7 +19,6 @@ from ehrlich.losses import (
     frekl_fixed_point_residual,
     frekl_objective,
     kl_divergence,
-    margin_reward,
     marge_loss,
     marge_loss_grad,
     reinforce_loss,
@@ -351,7 +351,7 @@ class TestSolveFrekl:
     def test_fixed_point_residual_small(self, rng):
         star = rng.dirichlet(np.ones(6))
         ref = rng.dirichlet(np.ones(6))
-        solution = solve_frekl(star, ref, lam=0.5, tolerance=1e-14)
+        solution = solve_frekl(star, ref, lam=0.5)
         assert frekl_fixed_point_residual(solution, star, ref, 0.5) < 1e-5
 
     def test_monotone_in_lambda(self, rng):
@@ -367,11 +367,34 @@ class TestSolveFrekl:
             assert all(a <= b + slack for a, b in zip(forward, forward[1:]))
             assert all(a >= b - slack for a, b in zip(reverse, reverse[1:]))
 
-    def test_max_iteration_abort_reports_residual(self, rng):
-        star = rng.dirichlet(np.ones(12))
-        ref = rng.dirichlet(np.ones(12))
-        with pytest.raises(ConvergenceError, match="residual"):
-            solve_frekl(star, ref, lam=1.0, tolerance=1e-300, max_iters=3)
+    def test_exact_and_stable_in_lambda(self):
+        # Dirichlet(2) targets and references, K in [2, 11], lam log-uniform in [1e-3, 1e3]
+        rng = np.random.default_rng(31)
+        for num_outcomes in rng.integers(2, 12, size=300):
+            star = rng.dirichlet(np.full(num_outcomes, 2.0))
+            ref = rng.dirichlet(np.full(num_outcomes, 2.0))
+            lam = float(10 ** rng.uniform(-3, 3))
+            solution = solve_frekl(star, ref, lam).probabilities
+            assert frekl_fixed_point_residual(solution, star, ref, lam) <= 1e-11
+            nudged = solve_frekl(star, ref, np.nextafter(lam, np.inf)).probabilities
+            assert (np.abs(nudged - solution) / solution).max() <= 1e-12
+
+    @pytest.mark.parametrize("num_outcomes", [2, 50])
+    @pytest.mark.parametrize("lam", [1e-300, 1e-12, 1e12, 1e300])
+    def test_extreme_lambda_and_masses(self, rng, lam, num_outcomes):
+        star = rng.dirichlet(np.ones(num_outcomes))
+        ref = rng.dirichlet(np.ones(num_outcomes))
+        star[0] = ref[-1] = 1e-200
+        star, ref = star / star.sum(), ref / ref.sum()
+        solution = solve_frekl(star, ref, lam)
+        assert isinstance(solution, DiscretePolicy)
+        assert np.isfinite(solution.probabilities).all()
+        assert frekl_fixed_point_residual(solution, star, ref, lam) / (1 + lam) <= 1e-11
+
+    def test_optimum_input_and_lambda_zero(self, rng):
+        assert solve_frekl([0.5, 0.5], [0.5, 0.5], 1.0).probabilities.tolist() == [0.5, 0.5]
+        star = rng.dirichlet(np.ones(6))
+        assert np.array_equal(solve_frekl(star, rng.dirichlet(np.ones(6)), 0.0).probabilities, star)
 
     def test_rejects_zero_mass_inputs(self):
         with pytest.raises(InvalidParamsError):

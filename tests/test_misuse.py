@@ -60,10 +60,10 @@ from ehrlich import (
     response,
     run_ga,
     sample_dmp,
-    solve_frekl,
     unique_flags,
 )
-from ehrlich.losses import dpo_loss_from_logits, dpo_loss_grad, marge_loss_grad
+from ehrlich.losses import (batch_from_logits, dpo_loss_from_logits, dpo_loss_grad,
+                            marge_loss_grad, reinforce_loss_grad)
 
 FUNCTION = generate(EhrlichParams.from_name("Ehr(4,16)-2-2-2", seed=1))
 V, L = FUNCTION.params.vocab_size, FUNCTION.params.length
@@ -258,7 +258,12 @@ def test_every_token_entry_point_is_in_the_table():
     lambda: _record(duration_seconds="x"),
     lambda: _record(instance_seed="a"),
     lambda: DiscretePolicy.uniform(2.5),
-    lambda: solve_frekl([0.5, 0.5], [0.5, 0.5], 1.0, max_iters=2.5),
+    lambda: dpo_loss_from_logits([0.0, 0.0], [-0.7, -0.7], [5], [1]),
+    lambda: batch_from_logits([0.0, 0.0], [-0.7, -0.7], [2], [1.0]),
+    lambda: marge_loss_grad([0.0, 0.0], [-0.7, -0.7], [-1], [0.3]),
+    lambda: reinforce_loss_grad([0.0, 0.0], [-0.7, -0.7], [1.5], [0.3]),
+    lambda: dpo_loss_grad([0.0, 0.0], [-0.7, -0.7], [0], [True]),
+    lambda: dpo_loss_from_logits([0.0, 0.0, 0.0], [-0.7, -0.7], [2], [1]),
 ], ids=["mutate n_per=-1", "mutate n_per=1.5", "mutate vocab_size=0",
         "mutate (3,) probability for L=16", "mutate p=2", "mutate p=NaN", "mutate p='0.1'",
         "mutate seed=1.5", "recombine count=-1", "recombine p=NaN", "recombine p=True",
@@ -283,7 +288,10 @@ def test_every_token_entry_point_is_in_the_table():
         "EhrlichParams epistasis_factor='0.5'", "EhrlichParams softmax_temperature='1.0'",
         "EhrlichParams feasible_fraction='0.75'", "MutationProposer mutation_rate='x'",
         "make_run_record duration_seconds='x'", "make_run_record instance_seed='a'",
-        "DiscretePolicy.uniform of 2.5", "solve_frekl max_iters=2.5"])
+        "DiscretePolicy.uniform of 2.5", "dpo_loss_from_logits winner id 5 of 2",
+        "batch_from_logits outcome id 2 of 2", "marge_loss_grad outcome id -1",
+        "reinforce_loss_grad outcome id 1.5", "dpo_loss_grad loser id True",
+        "dpo_loss_from_logits reference shorter than the table"])
 def test_bad_parameters_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):
         call()

@@ -11,7 +11,10 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
+
 import ehrlich
+from ehrlich import cli
 
 SRC = str(Path(ehrlich.__file__).resolve().parents[1])
 
@@ -53,6 +56,32 @@ def test_the_loss_lab_is_a_leaf_module():
         import ehrlich.losses
         print(json.dumps({LOADED}))
     """) == ["ehrlich.errors", "ehrlich.losses"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["run-ga", "--name", "Ehr(4,16)-2-2-2", "--budget", "200", "--particles", "20"],
+    ["run-llome", "--name", "Ehr(4,16)-2-2-2", "--rounds", "1", "--evals-per-round", "60",
+     "--presolver-rounds", "2", "--presolver-particles", "20", "--seeds-per-round", "10",
+     "--refine-iters", "2", "--samples-per-iter", "2"],
+    ["report"],
+], ids=lambda argv: argv[0])
+def test_no_command_loads_the_loss_lab(tmp_path, argv):
+    """``margin_reward`` lives beside ``regret_of_value``, so the solvers and
+    ``report`` never import ``ehrlich.losses``."""
+    if argv == ["report"]:  # a record to report on, made in this process
+        cli.main(["run-ga", "--name", "Ehr(4,16)-2-2-2", "--budget", "200",
+                  "--particles", "20", "--out-dir", str(tmp_path)])
+        argv = ["report", "--records-dir", str(tmp_path)]
+    else:
+        argv = [*argv, "--out-dir", str(tmp_path)]
+    code, loaded = run_fresh(f"""
+        import contextlib, io, json, sys
+        from ehrlich import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main({argv!r})
+        print(json.dumps([code, "ehrlich.losses" in sys.modules]))
+    """)
+    assert (code, loaded) == (0, False)
 
 
 def test_every_public_name_is_the_object_its_module_defines():

@@ -39,7 +39,7 @@ from ehrlich import (
 )
 from ehrlich import instance_io, records
 from ehrlich.instance_io import write_text
-from ehrlich.losses import margin_reward
+from ehrlich.function import margin_reward
 
 
 def test_record_tables_name_each_field_once_with_its_type():
