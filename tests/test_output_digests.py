@@ -6,11 +6,14 @@ only one left out, because it is a wall time. The digests were computed
 with the string writers that formatted each distinct value in its own
 Python call, so a writer change that moves any byte of a record, mirror,
 curve, ``rounds.json``, sweep table, Pareto report, round report or
-scored sequence file fails here. The JSON mirrors' digests were pinned
-again when the mirror's evals went to one line per column.
+scored sequence file fails here; ``sweep``'s stdout is kept in a file and
+pinned the same way. The JSON mirrors' digests were pinned again when the
+mirror's evals went to one line per column.
 """
 
+import contextlib
 import hashlib
+import io
 import re
 
 import numpy as np
@@ -69,6 +72,9 @@ SWEEP_TABLES = {
     "sweep-q-table.csv": "c8949e05e0a38e47dcd4d96b5f372276be91c027da87b4f9ab0117b24027d7db",
     "sweep-q-pareto.csv": "784a045c1b1db4f1d8d86390b5f646f69317db482435bb5eb930a92c346c4dc2",
 }
+
+# ``sweep``'s stdout: the medians table and one hypervolume line per value
+SWEEP_STDOUT = "673c9bd1a9aa845492701aa187ba1d2cc6d2e798ba1a13157f0dfad5da5e4bd1"
 
 REPORT = {
     ".csv": "6639bda4b821e2d927a534df02eb73e1b50496c74537bf1a8d324b3fd79725a7",
@@ -143,16 +149,25 @@ def test_run_llome_outputs_wide_vocabulary(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def sweep_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("sweep")
-    rc = cli.main(["sweep", "--axis", "q", "--values", "1,2", "--name", "Ehr(4,16)-2-2-2",
-                   "--instance-seed", "1", "--budget", "2000", "--particles", "50",
-                   "--seeds", "2", "--out-dir", str(out)])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(["sweep", "--axis", "q", "--values", "1,2", "--name", "Ehr(4,16)-2-2-2",
+                       "--instance-seed", "1", "--budget", "2000", "--particles", "50",
+                       "--seeds", "2", "--out-dir", str(out)])
     assert rc == 0
+    # kept beside the tables; ``report`` reads only the run-record CSVs
+    (out / "stdout.txt").write_text(stdout.getvalue())
     return out
 
 
 def test_sweep_outputs(sweep_dir):
     assert run_digests(sweep_dir, "sweep-q2-ehr-4-16-2-2-2-i1-s1", SWEEP_CELL) == SWEEP_CELL
     assert {name: digest(sweep_dir / name) for name in SWEEP_TABLES} == SWEEP_TABLES
+
+
+def test_sweep_stdout(sweep_dir):
+    assert "hypervolume" in (sweep_dir / "stdout.txt").read_text()
+    assert digest(sweep_dir / "stdout.txt") == SWEEP_STDOUT
 
 
 def test_report_outputs(sweep_dir, tmp_path, capsys):
