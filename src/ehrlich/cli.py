@@ -29,14 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ConstructionError,
-    EhrlichError,
-    GenerationError,
-    GeneratorCollapseError,
-    InvalidParamsError,
-    ParseError,
-)
+from .errors import EhrlichError, GenerationError, GeneratorCollapseError, InvalidParamsError
 from .function import NAME_FIELDS, EhrlichParams, generate, regret_of_value
 from .ga import GAConfig, run_ga
 from .instance_io import (
@@ -51,7 +44,6 @@ from .llome import DATASET_MODES, LoopConfig, run_llome, run_presolver
 from .proposers import baseline_mutation_proposer
 from .records import (
     EvalLedger,
-    ParetoReport,
     RegretCurve,
     RoundSummary,
     RunRecord,
@@ -273,7 +265,7 @@ def _execute(function, run_id: str, solver: str, config: dict, solve,
     ``solve(ledger)`` scores every batch through ``ledger`` and returns
     ``(presolver_calls, result)``: the first ``presolver_calls`` batches
     are round 0 and each later batch is its own round; ``result`` is the
-    loop's ``LoopResult``, also written as ``<run_id>.rounds.json``, or None.
+    loop's ``LlomeResult``, also written as ``<run_id>.rounds.json``, or None.
     A run whose record exists in ``out_dir`` is refused before it starts.
     """
     new_record_paths(out_dir, run_id)
@@ -396,7 +388,7 @@ def cmd_sweep(args) -> int:
     out_dir = _out_dir(args)
     marks = _checkpoints(args.budget)
 
-    medians: dict[int, np.ndarray] = {}
+    medians: list[np.ndarray] = []
     for params, value in zip(grid, values):
         function = generate(params)
         slug = _slug(function.params.name)
@@ -406,10 +398,11 @@ def cmd_sweep(args) -> int:
             record = _execute_ga(function, args, seed, run_id, out_dir)
             curves.append(RegretCurve.from_record(record))
         at_marks = np.stack([curve.regret_at(np.asarray(marks)) for curve in curves])
-        medians[value] = np.median(at_marks, axis=0)
+        medians.append(np.median(at_marks, axis=0))
 
-    header = ["evals_used"] + [f"{args.axis}={value}" for value in values]
-    columns = dict(zip(header, [marks, *(medians[value] for value in values)]))
+    labels = [f"{args.axis}={value}" for value in values]
+    header = ["evals_used", *labels]
+    columns = dict(zip(header, [marks, *medians]))
     table = format_table("sweep-table", 1, columns, meta={
         "axis": args.axis,
         "base": base.name,
@@ -421,23 +414,24 @@ def cmd_sweep(args) -> int:
     table_path = out_dir / f"sweep-{args.axis}-table.csv"
     write_text(table_path, table)
 
-    report = ParetoReport.from_arrays(
-        labels=[f"{args.axis}={value}" for value in values for _ in marks],
-        budgets=[float(mark) for _ in values for mark in marks],
-        regrets=[float(medians[value][row]) for value in values
-                 for row in range(len(marks))],
-    )
+    budgets = np.asarray(marks, dtype=np.float64)
+    pareto = format_table("pareto-report", 1, {
+        "label": [label for label in labels for _ in marks],
+        "budget": np.tile(budgets, len(values)),
+        "min_regret": np.concatenate(medians),
+    })
     pareto_path = out_dir / f"sweep-{args.axis}-pareto.csv"
-    write_text(pareto_path, report.to_csv())
+    write_text(pareto_path, pareto)
 
     print(f"median min-regret vs evaluations ({len(seeds)} seeds):")
     print("  " + "  ".join(f"{h:>12}" for h in header))
     for row, mark in enumerate(marks):
-        cells = [f"{mark:>12}"] + [f"{medians[value][row]:>12.4g}" for value in values]
+        cells = [f"{mark:>12}"] + [f"{column[row]:>12.4g}" for column in medians]
         print("  " + "  ".join(cells))
+    # a label's hypervolume: the mean over its points of budget x min_regret
     print("hypervolume (mean of evals x regret):")
-    for value in values:
-        print(f"  {args.axis}={value}: {report.hypervolume(f'{args.axis}={value}'):.6g}")
+    for label, column in zip(labels, medians):
+        print(f"  {label}: {float(np.mean(budgets * column)):.6g}")
     print(f"wrote {table_path} and {pareto_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -585,16 +579,10 @@ def main(argv=None) -> int:
     except (GeneratorCollapseError, GenerationError) as exc:
         print(f"solver abort: {exc}", file=sys.stderr)
         return EXIT_SOLVER_ABORT
-    except (InvalidParamsError, ParseError, ConstructionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except FileExistsError as exc:
         print(f"error: refusing to overwrite existing record: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except EhrlichError as exc:  # pragma: no cover - safety net
+    except (EhrlichError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except BrokenPipeError:

@@ -502,14 +502,16 @@ def run_presolver(function, ga_config: GAConfig, presolver_rounds: int) -> Preso
     The budget is presolver_rounds * num_particles evaluations total,
     including the initial-solution evaluation, so the first batch plus
     (presolver_rounds - 1) full steps are scored. Everything scored is
-    returned as labeled data.
+    returned as labeled data. A ``function`` that is an :class:`EvalLedger`
+    records the batches itself, and the rows are read back from it.
     """
     require_counts(1, presolver_rounds=presolver_rounds)
-    ledger = EvalLedger(function)
+    ledger = function if isinstance(function, EvalLedger) else EvalLedger(function)
+    start = ledger.num_evals
     run_ga(ledger, ga_config, budget=presolver_rounds * ga_config.num_particles,
            stop_on_optimum=False)
-    tokens = ledger.tokens(token_dtype(function.params.vocab_size))
-    return PresolverData(scored=ScoredSet(tokens=tokens, values=ledger.values()))
+    tokens = ledger.tokens(token_dtype(function.params.vocab_size))[start:]
+    return PresolverData(scored=ScoredSet(tokens=tokens, values=ledger.values()[start:]))
 
 
 def run_llome(function, generator, config: LoopConfig,

@@ -109,12 +109,11 @@ class LossBatch:
     lengths: np.ndarray
 
     def __post_init__(self) -> None:
-        x_ids = np.asarray(self.x_ids, dtype=np.int64)
-        y_ids = np.asarray(self.y_ids, dtype=np.int64)
+        x_ids, y_ids, lengths = (_integers(name, getattr(self, name))
+                                 for name in ("x_ids", "y_ids", "lengths"))
         log_pi_theta = np.asarray(self.log_pi_theta, dtype=np.float64)
         log_pi_ref = np.asarray(self.log_pi_ref, dtype=np.float64)
         rewards = np.asarray(self.rewards, dtype=np.float64)
-        lengths = np.asarray(self.lengths, dtype=np.int64)
         for name, arr in (("x_ids", x_ids), ("y_ids", y_ids),
                           ("log_pi_theta", log_pi_theta), ("log_pi_ref", log_pi_ref),
                           ("rewards", rewards), ("lengths", lengths)):
@@ -134,6 +133,17 @@ class LossBatch:
         """Self-normalized importance weights exp(log pi - log ref) / sum."""
         raw = np.exp(self.log_pi_theta - self.log_pi_ref)
         return raw / raw.sum()
+
+
+def _integers(name: str, value) -> np.ndarray:
+    """``value`` as int64: an array of integers, or of floats that are
+    integers (2.0, not 2.9); anything else is an InvalidParamsError."""
+    array = np.asarray(value)
+    integral = array.dtype.kind in "iu" or (
+        array.dtype.kind == "f" and bool((np.abs(array) < 2.0**63).all())
+        and bool((array == np.trunc(array)).all()))
+    require(integral, f"{name} must hold integers, got {value!r}")
+    return array.astype(np.int64)
 
 
 def batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths=None,

@@ -23,7 +23,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .tables import _row_blocks, format_table, read_table
 
 RUN_RECORD_VERSION = 1
 REGRET_CURVE_VERSION = 1
-PARETO_REPORT_VERSION = 1
 
 # A run record's metadata lines, in file order: (key, RunRecord attribute, type).
 _RUN_META = (
@@ -58,8 +57,6 @@ _RUN_COLUMNS = (
 _RUN_DTYPE = np.dtype([(name, np.float64 if "f" in kinds else np.int64)
                        for name, _, kinds in _RUN_COLUMNS])
 _CURVE_DTYPE = np.dtype([("evals_used", np.int64), ("min_regret", np.float64)])
-_PARETO_DTYPE = np.dtype([("label", object), ("budget", np.float64),
-                          ("min_regret", np.float64)])
 
 
 def config_hash(config: Mapping) -> str:
@@ -539,80 +536,6 @@ def read_regret_curve(path: str | Path) -> RegretCurve:
     _, rows = read_table(path, "regret-curve", REGRET_CURVE_VERSION, _CURVE_DTYPE,
                          "regret curve")
     return RegretCurve(evals=rows["evals_used"], regrets=rows["min_regret"])
-
-
-@dataclass(frozen=True)
-class ParetoPoint:
-    label: str
-    budget: float
-    min_regret: float
-
-    def __post_init__(self) -> None:
-        require(bool(self.label), "label must be nonempty")
-        # a table field holds no separator, comment mark or line break
-        require(not any(c in self.label for c in ",#\r\n"),
-                f"label must not contain ',', '#' or a line break, got {self.label!r}")
-        require(float(self.budget) > 0, f"budget must be > 0, got {self.budget}")
-        require(
-            float(self.min_regret) >= 0 and not np.isnan(self.min_regret),
-            f"min_regret must be >= 0, got {self.min_regret}",
-        )
-
-
-@dataclass(frozen=True)
-class ParetoReport:
-    """(budget, min regret) points grouped by configuration label.
-
-    The hypervolume of a point set is the mean over its points of
-    budget x min_regret — the average area dominated per point. A curve
-    pinned at regret 1 for every budget therefore has hypervolume equal
-    to the mean of its budgets.
-    """
-
-    points: tuple[ParetoPoint, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        require(len(self.points) >= 1, "a report needs at least one point")
-
-    @classmethod
-    def from_arrays(cls, labels: Sequence[str], budgets: Sequence[float],
-                    regrets: Sequence[float]) -> "ParetoReport":
-        require(len(labels) == len(budgets) == len(regrets),
-                "labels, budgets, and regrets must be the same length")
-        return cls(points=tuple(
-            ParetoPoint(label=l, budget=float(b), min_regret=float(r))
-            for l, b, r in zip(labels, budgets, regrets)
-        ))
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for point in self.points:
-            seen.setdefault(point.label, None)
-        return tuple(seen)
-
-    def hypervolume(self, label: str | None = None) -> float:
-        chosen = [p for p in self.points if label is None or p.label == label]
-        require(bool(chosen), f"no points with label {label!r}")
-        volume = float(np.mean([p.budget * p.min_regret for p in chosen]))
-        # budget > 0 and regret >= 0 are enforced per point, so this
-        # cannot go negative; guard anyway since it is the contract.
-        require(volume >= 0.0, f"hypervolume must be >= 0, got {volume}")
-        return volume
-
-    def to_csv(self) -> str:
-        return format_table("pareto-report", PARETO_REPORT_VERSION, {
-            "label": [p.label for p in self.points],
-            "budget": [p.budget for p in self.points],
-            "min_regret": [p.min_regret for p in self.points],
-        })
-
-
-def read_pareto_report(path: str | Path) -> ParetoReport:
-    _, rows = read_table(path, "pareto-report", PARETO_REPORT_VERSION, _PARETO_DTYPE,
-                         "pareto report")
-    return ParetoReport.from_arrays(rows["label"], rows["budget"], rows["min_regret"])
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A table is a ``# <kind> v<N>`` version line, ``# key=value`` metadata
 lines, a comma-separated column header and comma-separated rows: bools
 as 0/1, ints as ``str``, floats as ``repr`` (so they read back exactly,
--0.0 and infinities included) and string columns as they are.
+-0.0 and infinities included) and string columns as they are; a text
+cell holding ``,``, ``#`` or a line break is an InvalidParamsError.
 :func:`format_table` writes one, its rows by :func:`format_rows` (which
 also writes sequence files), and :func:`read_table` reads one back,
 parsing the body with ``np.loadtxt``; comment and empty lines in the
@@ -44,6 +45,10 @@ _BLOCK_CELLS = 1 << 14
 # The byte that pads cells. UTF-8 text never contains it, so deleting it
 # from a block's bytes never deletes content (NUL included).
 _PAD = b"\xff"
+
+# What a text cell may not hold: loadtxt splits a row at "," and at line
+# breaks, and reads from "#" on as a comment.
+_ROW_BREAKERS = re.compile(r"[,#\r\n]")
 
 
 def _digit_table() -> np.ndarray:
@@ -134,6 +139,10 @@ def _cells(column: np.ndarray, fmt) -> np.ndarray:
         inverse = np.fromiter((distinct.setdefault(text, len(distinct))
                                for text in column.ravel().tolist()), np.intp, column.size)
         texts = list(distinct)
+        bad = next((text for text in texts if _ROW_BREAKERS.search(text)), None)
+        if bad is not None:
+            raise InvalidParamsError(
+                f"a table cell must not contain ',', '#' or a line break, got {bad!r}")
     else:
         # one fmt call per distinct 64-bit pattern, so -0.0 and 0.0 keep their own text
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)

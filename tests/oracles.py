@@ -286,10 +286,10 @@ def curve_csv(curve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def pareto_csv(report) -> str:
+def pareto_csv(labels, budgets, regrets) -> str:
     lines = ["# pareto-report v1", "label,budget,min_regret"]
-    for p in report.points:
-        lines.append(f"{p.label},{p.budget!r},{p.min_regret!r}")
+    for label, budget, regret in zip(labels, budgets, regrets):
+        lines.append(f"{label},{float(budget)!r},{float(regret)!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -128,3 +128,32 @@ def test_each_traced_ledger_batch_has_one_unique_flags_span(monkeypatch, tmp_pat
     flags = [span[3] for span in tracer.spans if span[0] == "records.unique_flags"]
     assert len(batches) == 10
     assert sorted(flags) == batches
+
+
+def test_each_traced_llome_batch_has_one_ledger_span(monkeypatch, tmp_path):
+    # the presolver scores through the run's one ledger, so no ledger batch
+    # runs inside another and each oracle batch is hashed once
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import spans
+    import traced
+
+    tracer = spans.Tracer()
+    try:
+        traced.install(tracer)
+        code = cli.main(["run-llome", "--name", "Ehr(4,16)-2-2-2", "--instance-seed", "7",
+                         "--rounds", "3", "--out-dir", str(tmp_path)])
+    finally:
+        tracer.unwrap_all()
+    assert code == 0
+    ledger = {i for i, span in enumerate(tracer.spans)
+              if span[0] == "records.EvalLedger.evaluate_batch"}
+
+    def outer(index):
+        while (index := tracer.spans[index][3]) >= 0:
+            yield index
+
+    assert [i for i in sorted(ledger) if ledger.intersection(outer(i))] == []
+    # 10 presolver batches and one per round; ``generate`` scores outside the run
+    oracle = [span for span in tracer.spans
+              if span[0] == "function.evaluate_batch" and span[3] in ledger]
+    assert len(ledger) == len(oracle) == 13

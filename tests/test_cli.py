@@ -17,12 +17,12 @@ from ehrlich import (
     LoopConfig,
     make_run_record,
     read_instance,
-    read_pareto_report,
     read_regret_curve,
     read_run_record,
     round_summaries,
     write_run_record,
 )
+from ehrlich.tables import read_table
 
 INSTANCE = "Ehr(4,8)-2-2-2"
 
@@ -393,11 +393,19 @@ class TestSweep:
         assert table[0] == "# sweep-table v1"
         header = [l for l in table if not l.startswith("#")][0]
         assert header == "evals_used,q=1,q=2"
-        report = read_pareto_report(tmp_path / "sweep-q-pareto.csv")
-        assert set(report.labels) == {"q=1", "q=2"}
-        # the stored pareto points must reproduce the printed hypervolume
-        # and agree with a recomputation from the persisted run records
+        _, points = read_table(tmp_path / "sweep-q-pareto.csv", "pareto-report", 1, np.dtype(
+            [("label", object), ("budget", np.float64), ("min_regret", np.float64)]),
+            "pareto report")
+        assert set(points["label"]) == {"q=1", "q=2"}
+        printed = dict(line.strip().split(": ") for line in out.splitlines()
+                       if line.startswith("  q="))
+        # each printed hypervolume is the mean of the stored budget x regret
+        # products, and the stored points agree with a recomputation from the
+        # persisted run records
         for value in (1, 2):
+            label = f"q={value}"
+            mine = points[points["label"] == label]
+            assert printed[label] == f"{np.mean(mine['budget'] * mine['min_regret']):.6g}"
             runs = sorted(tmp_path.glob(f"sweep-q{value}-*-s*.csv"))
             runs = [p for p in runs if not p.name.endswith(".curve.csv")]
             assert len(runs) == 3
@@ -406,8 +414,8 @@ class TestSweep:
             medians = np.median(
                 np.stack([c.regret_at(np.asarray(marks)) for c in curves]), axis=0
             )
-            expected = float(np.mean(np.asarray(marks) * medians))
-            assert report.hypervolume(f"q={value}") == pytest.approx(expected)
+            assert mine["budget"].tolist() == marks
+            assert mine["min_regret"].tolist() == medians.tolist()
 
     def test_invalid_cell_exits_2_before_running(self, tmp_path, capsys):
         rc = cli.main([
@@ -479,6 +487,18 @@ class TestReport:
         rc = cli.main(["report", "--records-dir", str(tmp_path)])
         assert rc == 0
         assert "ga-ehr-4-8-2-2-2-i0-s0" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("run_id", ["a,b", "a#b"], ids=["comma", "hash"])
+    def test_out_refuses_a_run_id_a_table_cannot_hold(self, tmp_path, capsys, run_id):
+        # a "," would split the run's round-report rows, and a "#" cut them short
+        record = make_run_record(run_id, INSTANCE, 0, "ga", {}, values=[0.5, 1.0],
+                                 rounds=[0, 1], duration_seconds=0.0, unique=[True, True])
+        path = write_run_record(record, tmp_path / "records")
+        out = tmp_path / "report.csv"
+        rc = cli.main(["report", "--records", str(path), "--out", str(out)])
+        assert rc == 2
+        assert "table cell must not contain" in capsys.readouterr().err
+        assert not out.exists() and not out.with_suffix(".json").exists()
 
     def test_no_records_exit_2(self, tmp_path, capsys):
         rc = cli.main(["report", "--records-dir", str(tmp_path)])

@@ -51,7 +51,6 @@ from ehrlich import (
     motif_score,
     mutate,
     read_instance,
-    read_pareto_report,
     read_regret_curve,
     read_run_record,
     read_run_record_json,
@@ -264,6 +263,10 @@ def test_every_token_entry_point_is_in_the_table():
     lambda: reinforce_loss_grad([0.0, 0.0], [-0.7, -0.7], [1.5], [0.3]),
     lambda: dpo_loss_grad([0.0, 0.0], [-0.7, -0.7], [0], [True]),
     lambda: dpo_loss_from_logits([0.0, 0.0, 0.0], [-0.7, -0.7], [2], [1]),
+    lambda: LossBatch([0.7], [1], [-0.1], [-0.2], [0.3], [2]),
+    lambda: LossBatch([0], [1.5], [-0.1], [-0.2], [0.3], [2]),
+    lambda: LossBatch([0], [1], [-0.1], [-0.2], [0.3], [2.9]),
+    lambda: batch_from_logits([0.0, 0.0], [-0.7, -0.7], [1], [1.0], lengths=["x"]),
 ], ids=["mutate n_per=-1", "mutate n_per=1.5", "mutate vocab_size=0",
         "mutate (3,) probability for L=16", "mutate p=2", "mutate p=NaN", "mutate p='0.1'",
         "mutate seed=1.5", "recombine count=-1", "recombine p=NaN", "recombine p=True",
@@ -291,7 +294,9 @@ def test_every_token_entry_point_is_in_the_table():
         "DiscretePolicy.uniform of 2.5", "dpo_loss_from_logits winner id 5 of 2",
         "batch_from_logits outcome id 2 of 2", "marge_loss_grad outcome id -1",
         "reinforce_loss_grad outcome id 1.5", "dpo_loss_grad loser id True",
-        "dpo_loss_from_logits reference shorter than the table"])
+        "dpo_loss_from_logits reference shorter than the table",
+        "LossBatch x_ids=0.7", "LossBatch y_ids=1.5", "LossBatch lengths=2.9",
+        "batch_from_logits lengths='x'"])
 def test_bad_parameters_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):
         call()
@@ -302,7 +307,6 @@ def test_bad_parameters_raise_invalid_params(call):
     (read_run_record, "run record"),
     (read_run_record_json, "run-record JSON"),
     (read_regret_curve, "regret curve"),
-    (read_pareto_report, "pareto report"),
 ], ids=lambda x: getattr(x, "__name__", None))
 @pytest.mark.parametrize("kind", ["missing", "directory", "under a file"])
 def test_reading_a_path_that_is_not_a_file_raises_invalid_params(tmp_path, read, what, kind):

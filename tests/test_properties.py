@@ -13,7 +13,6 @@ from ehrlich import (
     EhrlichParams,
     EvalLedger,
     InvalidParamsError,
-    ParetoReport,
     RegretCurve,
     RunRecord,
     baseline_mutation_proposer,
@@ -25,7 +24,6 @@ from ehrlich import (
     mutate,
     parse_instance,
     read_instance,
-    read_pareto_report,
     read_regret_curve,
     read_run_record,
     read_run_record_json,
@@ -334,16 +332,28 @@ def test_sequence_writer_matches_per_row_reference(length, rows, block, data):
 _LABELS = st.text(alphabet="ab=é\0 ", min_size=1, max_size=5)
 
 
-@given(st.lists(st.tuples(_LABELS, st.sampled_from([v for v in _VALUES if v > 0]),
-                          st.sampled_from([v for v in _VALUES if v >= 0] + [np.inf])),
+@given(st.lists(st.tuples(_LABELS, st.sampled_from(_VALUES + [np.inf]),
+                          st.sampled_from(_VALUES + [np.inf])),
                 min_size=1, max_size=12),
        _SMALL_BLOCKS)
 @example([("a\0", 1e16, 0.0), ("é", 2.0 / 3.0, np.inf)], 1)
+# a label that would break a row: each character the writer refuses
+@example([("a,b", 1.0, 0.5)], 1)
+@example([("a", 1.0, 0.5), ("#", 2.0, 0.5)], 1)
+@example([("a\nb", 1.0, 0.5)], 2)
+@example([("a", 1.0, 0.5), ("b\r", 2.0, 0.5)], 1)
 @settings(max_examples=200, deadline=None)
 def test_pareto_writer_matches_per_row_reference(points, block):
-    report = ParetoReport.from_arrays(*zip(*points))
+    labels, budgets, regrets = zip(*points)
+    columns = {"label": np.array(labels, dtype=object), "budget": budgets,
+               "min_regret": regrets}
     with mock.patch.object(tables, "_BLOCK_CELLS", block):
-        assert report.to_csv() == oracles.pareto_csv(report)
+        if any(mark in label for label in labels for mark in ",#\r\n"):
+            with pytest.raises(InvalidParamsError, match="table cell must not contain"):
+                tables.format_table("pareto-report", 1, columns)
+        else:
+            assert (tables.format_table("pareto-report", 1, columns)
+                    == oracles.pareto_csv(labels, budgets, regrets))
 
 
 # --- the JSON mirror reader under byte mutations ----------------------------
@@ -411,7 +421,6 @@ def documents(inst_4_8, tmp_path_factory):
         "parse_sequences": format_sequences(rows, np.array([1.0, -np.inf])),
         "read_run_record": _RECORD.to_csv(),
         "read_regret_curve": RegretCurve.from_values(_VALUES).to_csv(),
-        "read_pareto_report": ParetoReport.from_arrays(["a", "b"], [10, 20], [0.5, 0.25]).to_csv(),
     }
     return ({name: text.encode() for name, text in texts.items()},
             tmp_path_factory.mktemp("documents") / "mutated")
@@ -422,7 +431,6 @@ READERS = {
     "parse_sequences": lambda path: parse_sequences(read_text(path, "sequence file"), 8, 4),
     "read_run_record": read_run_record,
     "read_regret_curve": read_regret_curve,
-    "read_pareto_report": read_pareto_report,
 }
 
 

@@ -19,8 +19,6 @@ from ehrlich import (
     EvalLedger,
     GAConfig,
     InvalidParamsError,
-    ParetoPoint,
-    ParetoReport,
     ParseError,
     RegretCurve,
     RoundSummary,
@@ -28,7 +26,6 @@ from ehrlich import (
     config_hash,
     generate,
     make_run_record,
-    read_pareto_report,
     read_regret_curve,
     read_run_record,
     read_run_record_json,
@@ -40,6 +37,15 @@ from ehrlich import (
 from ehrlich import instance_io, records
 from ehrlich.instance_io import write_text
 from ehrlich.function import margin_reward
+from ehrlich.tables import format_table, read_table
+
+# the columns of the table ``sweep`` writes as ``sweep-<axis>-pareto.csv``
+PARETO_DTYPE = np.dtype([("label", object), ("budget", np.float64), ("min_regret", np.float64)])
+
+
+def pareto_table(labels, budgets, regrets) -> str:
+    return format_table("pareto-report", 1,
+                        {"label": labels, "budget": budgets, "min_regret": regrets})
 
 
 def test_record_tables_name_each_field_once_with_its_type():
@@ -733,10 +739,9 @@ class TestTableBytes:
         assert curve.to_csv() == oracles.curve_csv(curve)
 
     def test_pareto_report(self):
-        report = ParetoReport.from_arrays(
-            ["q=1", "q=1", "q=2", "q=2"], [1.0, 2.0 / 3.0, 1e-300, 3.0],
-            [np.inf, -0.0, 2.0 / 3.0, 0.0])
-        assert report.to_csv() == oracles.pareto_csv(report)
+        columns = (["q=1", "q=1", "q=2", "q=2"], [1.0, 2.0 / 3.0, 1e-300, 3.0],
+                   [np.inf, -0.0, 2.0 / 3.0, 0.0])
+        assert pareto_table(*columns) == oracles.pareto_csv(*columns)
 
     def test_round_report(self, tmp_path, capsys):
         csv_path = write_run_record(mixed_record(), tmp_path)
@@ -772,8 +777,9 @@ class TestTableBytes:
             np.inf, 1.0 - 1.0 / 3.0, 0.0}
         expected = oracles.sweep_table_csv("q", "Ehr(4,8)-2-2-2", 3, 20, [0, 1], marks, medians)
         assert (tmp_path / "sweep-q-table.csv").read_text() == expected
-        report = read_pareto_report(tmp_path / "sweep-q-pareto.csv")
-        assert (tmp_path / "sweep-q-pareto.csv").read_text() == oracles.pareto_csv(report)
+        expected = oracles.pareto_csv([f"q={value}" for value in (1, 2) for _ in marks],
+                                      marks * 2, np.concatenate([medians[1], medians[2]]))
+        assert (tmp_path / "sweep-q-pareto.csv").read_text() == expected
 
 
 class TestReadRunRecord:
@@ -902,38 +908,13 @@ class TestRegretCurve:
 
 
 class TestParetoReport:
-    def test_hypervolume_is_mean_area(self):
-        report = ParetoReport.from_arrays(
-            ["a", "a", "b"], [10.0, 20.0, 10.0], [1.0, 0.5, 0.2]
-        )
-        assert report.hypervolume("a") == pytest.approx((10 * 1 + 20 * 0.5) / 2)
-        assert report.hypervolume("b") == pytest.approx(2.0)
-        assert report.hypervolume() == pytest.approx((10 + 10 + 2) / 3)
+    """The Pareto report is a plain ``pareto-report`` table."""
 
-    def test_curve_pinned_at_one_gives_mean_budget(self):
-        budgets = [100.0, 200.0, 300.0, 400.0]
-        report = ParetoReport.from_arrays(["x"] * 4, budgets, [1.0] * 4)
-        assert report.hypervolume() == pytest.approx(np.mean(budgets))
-
-    def test_labels_preserve_first_seen_order(self):
-        report = ParetoReport.from_arrays(["b", "a", "b"], [1, 2, 3], [0, 0, 0])
-        assert report.labels == ("b", "a")
-
-    def test_unknown_label_rejected(self):
-        report = ParetoReport.from_arrays(["a"], [1.0], [0.5])
-        with pytest.raises(InvalidParamsError, match="no points"):
-            report.hypervolume("zzz")
-
-    def test_rejects_bad_points(self):
-        with pytest.raises(InvalidParamsError, match="budget"):
-            ParetoPoint("a", 0.0, 0.5)
-        with pytest.raises(InvalidParamsError, match="min_regret"):
-            ParetoPoint("a", 1.0, -0.5)
-
-    @pytest.mark.parametrize("label", ["a,b", "a#b", "a\nb"], ids=["comma", "hash", "newline"])
+    @pytest.mark.parametrize("label", ["a,b", "a#b", "a\nb", "a\rb"],
+                             ids=["comma", "hash", "newline", "carriage-return"])
     def test_rejects_labels_a_table_cannot_hold(self, label):
-        with pytest.raises(InvalidParamsError, match="label must not contain"):
-            ParetoPoint(label, 1.0, 0.5)
+        with pytest.raises(InvalidParamsError, match="table cell must not contain"):
+            pareto_table([label], [1.0], [0.5])
 
     @pytest.mark.parametrize("row, message", [
         ("b,2.0", "expected 3 fields, got 2"),
@@ -944,18 +925,19 @@ class TestParetoReport:
         path = tmp_path / "pareto.csv"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"pareto report data line 4: {message}"):
-            read_pareto_report(path)
+            read_table(path, "pareto-report", 1, PARETO_DTYPE, "pareto report")
         lines[2:2] = ["# a comment in the body", ""]
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match=f"pareto report data line 6: {message}"):
-            read_pareto_report(path)
+            read_table(path, "pareto-report", 1, PARETO_DTYPE, "pareto report")
 
     def test_csv_round_trip(self, tmp_path):
-        report = ParetoReport.from_arrays(["q=1", "q=2"], [100.0, 100.0], [1.0, 0.25])
         path = tmp_path / "pareto.csv"
-        path.write_text(report.to_csv())
-        back = read_pareto_report(path)
-        assert back == report
+        path.write_text(pareto_table(["q=1", "q=2"], [100.0, 100.0], [1.0, 0.25]))
+        _, rows = read_table(path, "pareto-report", 1, PARETO_DTYPE, "pareto report")
+        assert rows["label"].tolist() == ["q=1", "q=2"]
+        assert rows["budget"].tolist() == [100.0, 100.0]
+        assert rows["min_regret"].tolist() == [1.0, 0.25]
 
 
 class TestRoundSummaries:
