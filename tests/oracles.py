@@ -276,6 +276,16 @@ def all_sequences_as_tuples(vocab_size, length):
     return list(product(range(vocab_size), repeat=length))
 
 
+def regret_at_marks(values, marks) -> list[float]:
+    """Each mark's regret: 1 minus the best of the first min(mark, n)
+    values, or +inf when none of them is feasible."""
+    out = []
+    for mark in marks:
+        best = max(float(v) for v in values[:min(mark, len(values))])
+        out.append(float("inf") if best == float("-inf") else 1.0 - best)
+    return out
+
+
 # Reference table writers: one hand-written line per row, as each table
 # was written before the package routed them all through one formatter.
 

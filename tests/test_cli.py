@@ -378,6 +378,16 @@ class TestRunLlome:
         assert "--temperatures" in capsys.readouterr().err
 
 
+def sweep_records_and_medians(out_dir, axis, value, marks):
+    """The run records of one sweep cell, by seed, and their median regret
+    at each mark, recomputed from the records' values."""
+    runs = [path for path in sorted(out_dir.glob(f"sweep-{axis}{value}-*-s*.csv"))
+            if not path.name.endswith(".curve.csv")]
+    records = [read_run_record(path) for path in runs]
+    regrets = [oracles.regret_at_marks(record.values, marks) for record in records]
+    return records, np.median(regrets, axis=0)
+
+
 class TestSweep:
     def test_axis_tables_and_hypervolume(self, tmp_path, capsys):
         rc = cli.main([
@@ -416,6 +426,25 @@ class TestSweep:
             )
             assert mine["budget"].tolist() == marks
             assert mine["min_regret"].tolist() == medians.tolist()
+
+    def test_runs_that_stop_at_the_optimum_take_their_last_regret(self, tmp_path, capsys):
+        rc = cli.main(["sweep", "--axis", "q", "--values", "1,2", "--name", INSTANCE,
+                       "--budget", "5000", "--particles", "50", "--seeds", "3",
+                       "--out-dir", str(tmp_path)])
+        assert rc == 0
+        capsys.readouterr()
+        marks = cli._checkpoints(5000)
+        _, table = read_table(tmp_path / "sweep-q-table.csv", "sweep-table", 1, np.dtype(
+            [("evals_used", np.int64), ("q=1", np.float64), ("q=2", np.float64)]),
+            "sweep table")
+        assert table["evals_used"].tolist() == marks
+        for value in (1, 2):
+            records, medians = sweep_records_and_medians(tmp_path, "q", value, marks)
+            # seed 2 stops at f = 1 before the last three marks
+            stopped = records[2]
+            assert stopped.min_regret == 0.0
+            assert stopped.num_evals < marks[-3]
+            assert table[f"q={value}"].tolist() == medians.tolist()
 
     def test_invalid_cell_exits_2_before_running(self, tmp_path, capsys):
         rc = cli.main([
