@@ -29,9 +29,9 @@ _EXPORTS = {name: module for module, names in {
         translation_invariance_check""",
     "proposers": """EchoProposer MutationProposer ProposalGenerator StdioProposer
         baseline_mutation_proposer""",
-    "records": """EvalLedger RegretCurve RoundSummary RunRecord config_hash
-        make_run_record read_regret_curve read_run_record read_run_record_json
-        round_summaries unique_flags write_run_record""",
+    "records": """EvalLedger RoundSummary RunRecord config_hash make_run_record
+        read_run_record read_run_record_json round_summaries unique_flags
+        write_run_record""",
 }.items() for name in names.split()}
 
 __all__ = [*sorted(_EXPORTS), "__version__"]

@@ -44,7 +44,6 @@ from .llome import DATASET_MODES, LoopConfig, run_llome, run_presolver
 from .proposers import baseline_mutation_proposer
 from .records import (
     EvalLedger,
-    RegretCurve,
     RoundSummary,
     RunRecord,
     make_run_record,
@@ -281,7 +280,13 @@ def _execute(function, run_id: str, solver: str, config: dict, solve,
                              values=values, rounds=rounds, duration_seconds=duration,
                              unique=unique)
     csv_path = write_run_record(record, out_dir)
-    write_text(csv_path.with_suffix(".curve.csv"), RegretCurve.from_record(record).to_csv())
+    # The regret curve: the best-so-far regret at the first evaluation, at
+    # each evaluation where it changes, and at the last one.
+    regrets = regret_of_value(np.maximum.accumulate(record.values))
+    keep = np.ones(regrets.shape, dtype=bool)
+    keep[1:-1] = regrets[1:-1] != regrets[:-2]
+    write_text(csv_path.with_suffix(".curve.csv"), format_table("regret-curve", 1, {
+        "evals_used": record.eval_index[keep], "min_regret": regrets[keep]}))
     if result is not None:
         stats_payload = {
             "format": "round-stats",
@@ -392,12 +397,13 @@ def cmd_sweep(args) -> int:
     for params, value in zip(grid, values):
         function = generate(params)
         slug = _slug(function.params.name)
-        curves = []
+        at_marks = []
         for seed in seeds:
             run_id = f"sweep-{args.axis}{value}-{slug}-i{params.seed}-s{seed}"
             record = _execute_ga(function, args, seed, run_id, out_dir)
-            curves.append(RegretCurve.from_record(record))
-        at_marks = np.stack([curve.regret_at(np.asarray(marks)) for curve in curves])
+            # a mark past the run's last evaluation takes its last regret
+            best = np.maximum.accumulate(record.values)
+            at_marks.append(regret_of_value(best[np.minimum(marks, record.num_evals) - 1]))
         medians.append(np.median(at_marks, axis=0))
 
     labels = [f"{args.axis}={value}" for value in values]

@@ -134,19 +134,15 @@ def ga_step(state: GAState, function, config: GAConfig) -> GAState:
     step = state.step + 1
     tau = survival_threshold(values, config.survival_quantile)
     survivors = state.population[values >= tau]
-    refill = config.num_particles - survivors.shape[0]
-    if refill > 0:
-        children = recombine(
-            survivors,
-            config.recombination_prob,
-            refill,
-            (config.seed, rng.DOMAIN_GA, step, PHASE_RECOMBINE),
-        )
-        population = np.concatenate([survivors, children], axis=0)
-    else:
-        population = survivors[: config.num_particles]
+    # children refill the population; there are none when every particle survives
+    children = recombine(
+        survivors,
+        config.recombination_prob,
+        config.num_particles - survivors.shape[0],
+        (config.seed, rng.DOMAIN_GA, step, PHASE_RECOMBINE),
+    )
     population = mutate(
-        population,
+        np.concatenate([survivors, children], axis=0),
         config.mutation_prob,
         1,
         function.params.vocab_size,

@@ -109,11 +109,11 @@ class LossBatch:
     lengths: np.ndarray
 
     def __post_init__(self) -> None:
-        x_ids, y_ids, lengths = (_integers(name, getattr(self, name))
+        x_ids, y_ids, lengths = (_column(name, getattr(self, name), np.int64)
                                  for name in ("x_ids", "y_ids", "lengths"))
-        log_pi_theta = np.asarray(self.log_pi_theta, dtype=np.float64)
-        log_pi_ref = np.asarray(self.log_pi_ref, dtype=np.float64)
-        rewards = np.asarray(self.rewards, dtype=np.float64)
+        log_pi_theta, log_pi_ref, rewards = (
+            _column(name, getattr(self, name), np.float64)
+            for name in ("log_pi_theta", "log_pi_ref", "rewards"))
         for name, arr in (("x_ids", x_ids), ("y_ids", y_ids),
                           ("log_pi_theta", log_pi_theta), ("log_pi_ref", log_pi_ref),
                           ("rewards", rewards), ("lengths", lengths)):
@@ -135,15 +135,21 @@ class LossBatch:
         return raw / raw.sum()
 
 
-def _integers(name: str, value) -> np.ndarray:
-    """``value`` as int64: an array of integers, or of floats that are
-    integers (2.0, not 2.9); anything else is an InvalidParamsError."""
-    array = np.asarray(value)
-    integral = array.dtype.kind in "iu" or (
-        array.dtype.kind == "f" and bool((np.abs(array) < 2.0**63).all())
-        and bool((array == np.trunc(array)).all()))
-    require(integral, f"{name} must hold integers, got {value!r}")
-    return array.astype(np.int64)
+def _column(name: str, value, dtype) -> np.ndarray:
+    """``value`` as a ``dtype`` array, int64 or float64. It must hold
+    numbers, and for int64 integers or floats that are integers (2.0, not
+    2.9); text, bools, a ragged list and anything else are an
+    InvalidParamsError."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # a ragged list
+        array = np.asarray(None)
+    valid = array.dtype.kind in "iu" or (array.dtype.kind == "f" and (
+        dtype == np.float64 or (bool((np.abs(array) < 2.0**63).all())
+                                and bool((array == np.trunc(array)).all()))))
+    what = "numbers" if dtype == np.float64 else "integers"
+    require(valid, f"{name} must hold {what}, got {value!r}")
+    return array.astype(dtype)
 
 
 def batch_from_logits(logits, ref_log_probs, outcomes, rewards, lengths=None,

@@ -1,10 +1,13 @@
-"""Run records and benchmark reports.
+"""Run records and their per-round summaries.
 
 A solver run is persisted as an append-only per-evaluation log (one row
 per oracle call, in call order) plus a small metadata block. Everything
-a report prints — regret curves, uniqueness and feasibility rates,
-margin-reward summaries, hypervolumes — is recomputed from those rows,
-so a record file is the single source of truth for a run.
+a report prints — uniqueness and feasibility rates, margin-reward
+summaries, regret curves, sweep medians and hypervolumes — is recomputed
+from those rows, so a record file is the single source of truth for a
+run. The regret curve and the sweep tables are plain tables that
+:mod:`ehrlich.cli` writes from a record's values; no class stands behind
+them.
 
 Both file formats carry an explicit version so old records stay readable
 after schema changes: every CSV is a :mod:`ehrlich.tables` table, which
@@ -33,7 +36,6 @@ from .instance_io import read_text, write_text
 from .tables import _row_blocks, format_table, read_table
 
 RUN_RECORD_VERSION = 1
-REGRET_CURVE_VERSION = 1
 
 # A run record's metadata lines, in file order: (key, RunRecord attribute, type).
 _RUN_META = (
@@ -56,7 +58,6 @@ _RUN_COLUMNS = (
 )
 _RUN_DTYPE = np.dtype([(name, np.float64 if "f" in kinds else np.int64)
                        for name, _, kinds in _RUN_COLUMNS])
-_CURVE_DTYPE = np.dtype([("evals_used", np.int64), ("min_regret", np.float64)])
 
 
 def config_hash(config: Mapping) -> str:
@@ -466,76 +467,6 @@ def write_run_record(record: RunRecord, directory: str | Path) -> Path:
     write_text(csv_path, record.to_csv(), "x")
     write_text(json_path, record.to_json(), "x")
     return csv_path
-
-
-@dataclass(frozen=True)
-class RegretCurve:
-    """Best-so-far regret as a staircase over evaluation count.
-
-    Points are (evals_used, min regret after that many evaluations),
-    stored at change points plus the final evaluation. Regret counts
-    feasible evaluations only and is +inf before the first one.
-    """
-
-    evals: np.ndarray
-    regrets: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "evals", np.asarray(self.evals, dtype=np.int64))
-        object.__setattr__(self, "regrets", np.asarray(self.regrets, dtype=np.float64))
-        require(self.evals.ndim == 1 and self.evals.shape == self.regrets.shape,
-                "evals and regrets must be 1-D and the same length")
-        require(self.evals.shape[0] >= 1, "a regret curve needs at least one point")
-        require(bool(np.all(np.diff(self.evals) > 0)) and int(self.evals[0]) >= 1,
-                "evals must be strictly increasing and start at >= 1")
-        finite = self.regrets[np.isfinite(self.regrets)]
-        require(not np.isnan(self.regrets).any(), "regrets must not contain NaN")
-        require(finite.size == 0 or bool(np.all(finite >= -1e-12)),
-                "regret must be nonnegative")
-        # direct comparison, not diff: inf - inf is NaN but inf <= inf holds,
-        # and a never-feasible run is a legitimate all-inf staircase
-        require(bool(np.all(self.regrets[1:] <= self.regrets[:-1])),
-                "min regret must be nonincreasing in evaluations")
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "RegretCurve":
-        values = np.asarray(values)
-        require(values.ndim == 1 and values.size >= 1 and values.dtype.kind in "iuf",
-                f"values must be a nonempty 1-D array of numbers, got {values.dtype} "
-                f"of shape {values.shape}")
-        values = values.astype(np.float64, copy=False)
-        best = np.maximum.accumulate(values)
-        regrets = regret_of_value(best)
-        change = np.ones(values.shape[0], dtype=bool)
-        change[1:] = regrets[1:] != regrets[:-1]
-        change[-1] = True
-        idx = np.flatnonzero(change)
-        return cls(evals=idx + 1, regrets=regrets[idx])
-
-    @classmethod
-    def from_record(cls, record: RunRecord) -> "RegretCurve":
-        return cls.from_values(record.values)
-
-    @property
-    def final_regret(self) -> float:
-        return float(self.regrets[-1])
-
-    def regret_at(self, evals: int | np.ndarray) -> np.ndarray | float:
-        """Staircase lookup: regret after ``evals`` evaluations."""
-        evals = np.asarray(evals, dtype=np.int64)
-        pos = np.searchsorted(self.evals, evals, side="right") - 1
-        out = np.where(pos < 0, np.inf, self.regrets[np.clip(pos, 0, None)])
-        return float(out) if out.ndim == 0 else out
-
-    def to_csv(self) -> str:
-        return format_table("regret-curve", REGRET_CURVE_VERSION,
-                            {"evals_used": self.evals, "min_regret": self.regrets})
-
-
-def read_regret_curve(path: str | Path) -> RegretCurve:
-    _, rows = read_table(path, "regret-curve", REGRET_CURVE_VERSION, _CURVE_DTYPE,
-                         "regret curve")
-    return RegretCurve(evals=rows["evals_used"], regrets=rows["min_regret"])
 
 
 @dataclass(frozen=True)

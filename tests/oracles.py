@@ -289,10 +289,17 @@ def regret_at_marks(values, marks) -> list[float]:
 # Reference table writers: one hand-written line per row, as each table
 # was written before the package routed them all through one formatter.
 
-def curve_csv(curve) -> str:
+def curve_csv(values) -> str:
+    """A run's regret curve: its best-so-far regret at the first evaluation,
+    at each evaluation where that regret changes, and at the last."""
     lines = ["# regret-curve v1", "evals_used,min_regret"]
-    for e, r in zip(curve.evals, curve.regrets):
-        lines.append(f"{int(e)},{float(r)!r}")
+    best = float("-inf")
+    for i, value in enumerate(values, start=1):
+        before = float("inf") if best == float("-inf") else 1.0 - best
+        best = max(best, float(value))
+        regret = float("inf") if best == float("-inf") else 1.0 - best
+        if i == 1 or regret != before or i == len(values):
+            lines.append(f"{i},{regret!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,6 @@ from ehrlich import (
     LoopConfig,
     make_run_record,
     read_instance,
-    read_regret_curve,
     read_run_record,
     round_summaries,
     write_run_record,
@@ -218,8 +217,10 @@ class TestRunGa:
             assert record.solver == "ga"
             assert record.instance_name == INSTANCE
             assert record.num_evals <= 600
-            curve = read_regret_curve(base.with_suffix(".curve.csv"))
-            assert curve.final_regret == record.min_regret
+            _, curve = read_table(base.with_suffix(".curve.csv"), "regret-curve", 1, np.dtype(
+                [("evals_used", np.int64), ("min_regret", np.float64)]), "regret curve")
+            assert curve["evals_used"][-1] == record.num_evals
+            assert curve["min_regret"][-1] == record.min_regret
             assert base.with_suffix(".json").exists()
 
     def test_identical_runs_reproduce_identical_logs(self, tmp_path, capsys):
@@ -416,14 +417,9 @@ class TestSweep:
             label = f"q={value}"
             mine = points[points["label"] == label]
             assert printed[label] == f"{np.mean(mine['budget'] * mine['min_regret']):.6g}"
-            runs = sorted(tmp_path.glob(f"sweep-q{value}-*-s*.csv"))
-            runs = [p for p in runs if not p.name.endswith(".curve.csv")]
-            assert len(runs) == 3
-            curves = [read_regret_curve(p.with_suffix(".curve.csv")) for p in runs]
             marks = sorted({max(1, 300 * i // 10) for i in range(1, 11)})
-            medians = np.median(
-                np.stack([c.regret_at(np.asarray(marks)) for c in curves]), axis=0
-            )
+            records, medians = sweep_records_and_medians(tmp_path, "q", value, marks)
+            assert len(records) == 3
             assert mine["budget"].tolist() == marks
             assert mine["min_regret"].tolist() == medians.tolist()
 

@@ -28,7 +28,6 @@ from ehrlich import (
     MutationProposer,
     PresolverData,
     RefinementDataset,
-    RegretCurve,
     ScoredSequence,
     ScoredSet,
     StdioProposer,
@@ -51,7 +50,6 @@ from ehrlich import (
     motif_score,
     mutate,
     read_instance,
-    read_regret_curve,
     read_run_record,
     read_run_record_json,
     recombine,
@@ -231,7 +229,6 @@ def test_every_token_entry_point_is_in_the_table():
     lambda: config_hash(None),
     lambda: EhrlichParams.from_name(5),
     lambda: margin_reward("a", 1),
-    lambda: RegretCurve.from_values(np.array(["a", "b"])),
     lambda: sample_dmp(FUNCTION.transition, 2.5, 0),
     lambda: unique_flags(BATCH, set()),
     lambda: unique_flags(BATCH, {}, first=np.empty(N + 1, dtype=np.int64)),
@@ -267,6 +264,11 @@ def test_every_token_entry_point_is_in_the_table():
     lambda: LossBatch([0], [1.5], [-0.1], [-0.2], [0.3], [2]),
     lambda: LossBatch([0], [1], [-0.1], [-0.2], [0.3], [2.9]),
     lambda: batch_from_logits([0.0, 0.0], [-0.7, -0.7], [1], [1.0], lengths=["x"]),
+    lambda: LossBatch([0], [1], ["x"], [-0.2], [0.3], [2]),
+    lambda: LossBatch([0], [1], [-0.1], ["x"], [0.3], [2]),
+    lambda: LossBatch([0], [1], [-0.1], [-0.2], ["x"], [2]),
+    lambda: LossBatch([0, 0], [1, 1], [-0.1, -0.1], [-0.2, -0.2], [[1], [1, 2]], [2, 2]),
+    lambda: LossBatch([[0], [0, 1]], [1, 1], [-0.1, -0.1], [-0.2, -0.2], [0.3, 0.3], [2, 2]),
 ], ids=["mutate n_per=-1", "mutate n_per=1.5", "mutate vocab_size=0",
         "mutate (3,) probability for L=16", "mutate p=2", "mutate p=NaN", "mutate p='0.1'",
         "mutate seed=1.5", "recombine count=-1", "recombine p=NaN", "recombine p=True",
@@ -279,7 +281,7 @@ def test_every_token_entry_point_is_in_the_table():
         "kl_divergence of a negative vector", "format_dataset on a NaN value",
         "ScoredSet of NaN values", "StdioProposer with an empty argv",
         "config_hash of None", "EhrlichParams.from_name of an int",
-        "margin_reward of a string", "RegretCurve.from_values of strings",
+        "margin_reward of a string",
         "sample_dmp length=2.5", "unique_flags with a set for seen",
         "unique_flags with a first= of the wrong length",
         "response to a presence of 2", "adjust_temperatures of a string base",
@@ -296,7 +298,9 @@ def test_every_token_entry_point_is_in_the_table():
         "reinforce_loss_grad outcome id 1.5", "dpo_loss_grad loser id True",
         "dpo_loss_from_logits reference shorter than the table",
         "LossBatch x_ids=0.7", "LossBatch y_ids=1.5", "LossBatch lengths=2.9",
-        "batch_from_logits lengths='x'"])
+        "batch_from_logits lengths='x'", "LossBatch log_pi_theta='x'",
+        "LossBatch log_pi_ref='x'", "LossBatch rewards='x'", "LossBatch ragged rewards",
+        "LossBatch ragged x_ids"])
 def test_bad_parameters_raise_invalid_params(call):
     with pytest.raises(InvalidParamsError):
         call()
@@ -306,7 +310,6 @@ def test_bad_parameters_raise_invalid_params(call):
     (read_instance, "instance document"),
     (read_run_record, "run record"),
     (read_run_record_json, "run-record JSON"),
-    (read_regret_curve, "regret curve"),
 ], ids=lambda x: getattr(x, "__name__", None))
 @pytest.mark.parametrize("kind", ["missing", "directory", "under a file"])
 def test_reading_a_path_that_is_not_a_file_raises_invalid_params(tmp_path, read, what, kind):

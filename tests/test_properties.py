@@ -1,6 +1,7 @@
 """Property-based checks of the scoring, construction and writer invariants."""
 
 import functools
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -13,7 +14,6 @@ from ehrlich import (
     EhrlichParams,
     EvalLedger,
     InvalidParamsError,
-    RegretCurve,
     RunRecord,
     baseline_mutation_proposer,
     evaluate,
@@ -24,7 +24,6 @@ from ehrlich import (
     mutate,
     parse_instance,
     read_instance,
-    read_regret_curve,
     read_run_record,
     read_run_record_json,
     recombine,
@@ -38,7 +37,7 @@ from ehrlich.function import incumbent_of, token_dtype
 from ehrlich.instance_io import format_sequences, parse_sequences, read_text
 from ehrlich.kernels import feasible_rows
 from ehrlich.llome import LoopConfig, ScoredSet, iterative_refinement
-from test_records import oracle_csv, oracle_json
+from test_records import oracle_csv, oracle_json, run_ga_curve
 
 # Keep generation-heavy properties cheap: tiny alphabets, short sequences.
 small_seed = st.integers(min_value=0, max_value=2**32 - 1)
@@ -356,6 +355,24 @@ def test_pareto_writer_matches_per_row_reference(points, block):
                     == oracles.pareto_csv(labels, budgets, regrets))
 
 
+# values from [0, 1] and -inf, with few distinct ones so ties are common
+_RUN_VALUES = st.one_of(st.sampled_from([-np.inf, 0.0, 1.0 / 3.0, 0.5, 1.0]),
+                        st.floats(0.0, 1.0))
+
+
+@given(st.lists(_RUN_VALUES, min_size=1, max_size=40), _SMALL_BLOCKS)
+@example([-np.inf], 1)
+@example([0.5], 1)
+@example([-np.inf, -np.inf, -np.inf], 2)
+@example([0.25, 0.25, -np.inf, 0.25], 1)
+@example([-np.inf, 5e-324, 1.0, 1.0], 3)
+@settings(max_examples=200, deadline=None)
+def test_curve_writer_matches_per_row_reference(values, block):
+    with tempfile.TemporaryDirectory() as out, \
+            mock.patch.object(tables, "_BLOCK_CELLS", block):
+        assert run_ga_curve(values, out).read_text() == oracles.curve_csv(values)
+
+
 # --- the JSON mirror reader under byte mutations ----------------------------
 
 _JSON_BYTES = st.sampled_from(list(b'{}[]",:0123456789-+.eE tnfalsruIN\\\n') + [0, 0x80, 0xC3, 0xFF])
@@ -420,7 +437,6 @@ def documents(inst_4_8, tmp_path_factory):
         "parse_instance": serialize_instance(inst_4_8),
         "parse_sequences": format_sequences(rows, np.array([1.0, -np.inf])),
         "read_run_record": _RECORD.to_csv(),
-        "read_regret_curve": RegretCurve.from_values(_VALUES).to_csv(),
     }
     return ({name: text.encode() for name, text in texts.items()},
             tmp_path_factory.mktemp("documents") / "mutated")
@@ -430,7 +446,6 @@ READERS = {
     "parse_instance": read_instance,
     "parse_sequences": lambda path: parse_sequences(read_text(path, "sequence file"), 8, 4),
     "read_run_record": read_run_record,
-    "read_regret_curve": read_regret_curve,
 }
 
 

@@ -1,13 +1,17 @@
 """Run records, regret curves, Pareto reports, and round summaries."""
 
+import contextlib
 import dataclasses
 import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,13 +24,11 @@ from ehrlich import (
     GAConfig,
     InvalidParamsError,
     ParseError,
-    RegretCurve,
     RoundSummary,
     RunRecord,
     config_hash,
     generate,
     make_run_record,
-    read_regret_curve,
     read_run_record,
     read_run_record_json,
     round_summaries,
@@ -46,6 +48,33 @@ PARETO_DTYPE = np.dtype([("label", object), ("budget", np.float64), ("min_regret
 def pareto_table(labels, budgets, regrets) -> str:
     return format_table("pareto-report", 1,
                         {"label": labels, "budget": budgets, "min_regret": regrets})
+
+
+# the columns of the table ``run-ga`` and ``run-llome`` write as ``<run_id>.curve.csv``
+CURVE_DTYPE = np.dtype([("evals_used", np.int64), ("min_regret", np.float64)])
+
+
+def run_ga_curve(values, out_dir) -> Path:
+    """The curve file of a ``run-ga`` whose one oracle call scores ``values``."""
+    values = np.array(values, dtype=np.float64)
+    params = EhrlichParams.from_name("Ehr(4,8)-2-2-2", seed=0)
+    oracle = SimpleNamespace(params=params, evaluate_batch=lambda tokens: values)
+
+    def scripted_run_ga(ledger, config, budget, stop_on_optimum):
+        ledger.evaluate_batch(np.zeros((values.size, params.length), dtype=np.int64))
+
+    with mock.patch.object(cli, "_function_from_args", lambda args: oracle), \
+            mock.patch.object(cli, "run_ga", scripted_run_ga), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run-ga", "--name", params.name, "--budget", "1000",
+                         "--out-dir", str(out_dir)]) == 0
+    return Path(out_dir) / "ga-ehr-4-8-2-2-2-i0-s0.curve.csv"
+
+
+def curve_rows(values, out_dir) -> np.ndarray:
+    """The rows of :func:`run_ga_curve`'s file, read as a table."""
+    return read_table(run_ga_curve(values, out_dir), "regret-curve", 1, CURVE_DTYPE,
+                      "regret curve")[1]
 
 
 def test_record_tables_name_each_field_once_with_its_type():
@@ -732,11 +761,12 @@ def mixed_floats(n):
 class TestTableBytes:
     """Every table the package writes equals its hand-written reference writer."""
 
-    def test_regret_curve(self):
-        curve = RegretCurve(evals=[1, 3, 4, 9], regrets=[np.inf, 2.0 / 3.0, 1e-300, -0.0])
-        assert curve.to_csv() == oracles.curve_csv(curve)
-        curve = RegretCurve.from_record(mixed_record())
-        assert curve.to_csv() == oracles.curve_csv(curve)
+    def test_regret_curve(self, tmp_path):
+        values = np.array([-np.inf, 1.0 / 3.0, 5e-324, 2.0 / 3.0, 2.0 / 3.0, 1.0 - 1e-16])
+        path = run_ga_curve(values, tmp_path / "a")
+        assert path.read_text() == oracles.curve_csv(values)
+        values = mixed_record().values
+        assert run_ga_curve(values, tmp_path / "b").read_text() == oracles.curve_csv(values)
 
     def test_pareto_report(self):
         columns = (["q=1", "q=1", "q=2", "q=2"], [1.0, 2.0 / 3.0, 1e-300, 3.0],
@@ -770,9 +800,9 @@ class TestTableBytes:
         marks = cli._checkpoints(20)
         medians = {}
         for value in (1, 2):
-            at_marks = [RegretCurve.from_record(record).regret_at(np.asarray(marks))
+            at_marks = [oracles.regret_at_marks(record.values, marks)
                         for run_id, record in runs.items() if run_id.startswith(f"sweep-q{value}-")]
-            medians[value] = np.median(np.stack(at_marks), axis=0)
+            medians[value] = np.median(at_marks, axis=0)
         assert {float(m) for column in medians.values() for m in column} == {
             np.inf, 1.0 - 1.0 / 3.0, 0.0}
         expected = oracles.sweep_table_csv("q", "Ehr(4,8)-2-2-2", 3, 20, [0, 1], marks, medians)
@@ -853,58 +883,48 @@ class TestRoundSummariesMatchReference:
 
 
 class TestRegretCurve:
-    def test_staircase_from_values(self):
-        curve = RegretCurve.from_values(np.array([-np.inf, -np.inf, 0.5, 0.25, 0.75]))
-        assert curve.evals.tolist() == [1, 3, 5]
-        assert curve.regrets.tolist() == [float("inf"), 0.5, 0.25]
-        assert curve.final_regret == 0.25
+    """The curve file ``run-ga`` writes beside each record, read back as a table."""
 
-    def test_infeasible_prefix_is_infinite(self):
-        curve = RegretCurve.from_values(np.array([-np.inf, 0.5]))
-        assert curve.regret_at(1) == float("inf")
-        assert curve.regret_at(2) == 0.5
+    def test_staircase_from_values(self, tmp_path):
+        rows = curve_rows([-np.inf, -np.inf, 0.5, 0.25, 0.75], tmp_path)
+        assert rows["evals_used"].tolist() == [1, 3, 5]
+        assert rows["min_regret"].tolist() == [float("inf"), 0.5, 0.25]
 
-    def test_never_feasible_is_all_infinite(self):
-        curve = RegretCurve.from_values(np.array([-np.inf, -np.inf]))
-        assert np.isposinf(curve.regrets).all()
+    def test_infeasible_prefix_is_infinite(self, tmp_path):
+        rows = curve_rows([-np.inf, 0.5], tmp_path)
+        assert rows["evals_used"].tolist() == [1, 2]
+        assert rows["min_regret"].tolist() == [float("inf"), 0.5]
 
-    def test_regret_at_staircase_lookup(self):
-        curve = RegretCurve(evals=np.array([1, 10, 100]),
-                            regrets=np.array([1.0, 0.5, 0.0]))
-        assert curve.regret_at(0) == float("inf")
-        assert curve.regret_at(1) == 1.0
-        assert curve.regret_at(9) == 1.0
-        assert curve.regret_at(10) == 0.5
-        assert curve.regret_at(1000) == 0.0
-        looked = curve.regret_at(np.array([5, 50, 500]))
-        assert looked.tolist() == [1.0, 0.5, 0.0]
+    def test_never_feasible_is_all_infinite(self, tmp_path):
+        rows = curve_rows([-np.inf, -np.inf], tmp_path)
+        assert rows["evals_used"].tolist() == [1, 2]
+        assert np.isposinf(rows["min_regret"]).all()
 
-    def test_last_eval_always_included(self):
-        curve = RegretCurve.from_values(np.array([0.5, 0.5, 0.5]))
-        assert curve.evals.tolist() == [1, 3]
-        assert curve.regrets.tolist() == [0.5, 0.5]
-
-    def test_rejects_increasing_regret(self):
-        with pytest.raises(InvalidParamsError, match="nonincreasing"):
-            RegretCurve(evals=np.array([1, 2]), regrets=np.array([0.25, 0.5]))
-
-    def test_rejects_negative_regret(self):
-        with pytest.raises(InvalidParamsError, match="nonnegative"):
-            RegretCurve(evals=np.array([1]), regrets=np.array([-0.5]))
+    def test_last_eval_always_included(self, tmp_path):
+        rows = curve_rows([0.5, 0.5, 0.5], tmp_path)
+        assert rows["evals_used"].tolist() == [1, 3]
+        assert rows["min_regret"].tolist() == [0.5, 0.5]
 
     def test_csv_round_trip(self, tmp_path):
-        curve = RegretCurve.from_values(np.array([-np.inf, 0.75, 0.5, 1.0]))
-        path = tmp_path / "curve.csv"
-        path.write_text(curve.to_csv())
-        back = read_regret_curve(path)
-        assert np.array_equal(back.evals, curve.evals)
-        assert np.array_equal(back.regrets, curve.regrets)
+        path = run_ga_curve([-np.inf, 0.75, 0.5, 1.0], tmp_path)
+        _, rows = read_table(path, "regret-curve", 1, CURVE_DTYPE, "regret curve")
+        assert rows["evals_used"].tolist() == [1, 2, 4]
+        assert rows["min_regret"].tolist() == [float("inf"), 0.25, 0.0]
+        columns = {name: rows[name] for name in CURVE_DTYPE.names}
+        assert format_table("regret-curve", 1, columns) == path.read_text()
 
-    def test_matches_incumbent_history(self, inst_4_8):
-        ledger = EvalLedger(inst_4_8)
-        state = run_ga(ledger, GAConfig(num_particles=40, seed=2), budget=400)
-        curve = RegretCurve.from_values(ledger.values())
-        assert curve.final_regret == 1.0 - state.incumbent.value
+    def test_matches_incumbent_history(self, tmp_path, capsys):
+        assert cli.main(["run-ga", "--name", "Ehr(4,8)-2-2-2", "--instance-seed", "3",
+                         "--budget", "400", "--particles", "40", "--seed-list", "2",
+                         "--out-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        record = read_run_record(tmp_path / "ga-ehr-4-8-2-2-2-i3-s2.csv")
+        _, rows = read_table(tmp_path / "ga-ehr-4-8-2-2-2-i3-s2.curve.csv", "regret-curve", 1,
+                             CURVE_DTYPE, "regret curve")
+        function = generate(EhrlichParams.from_name("Ehr(4,8)-2-2-2", seed=3))
+        state = run_ga(function, GAConfig(num_particles=40, seed=2), budget=400)
+        assert rows["evals_used"][-1] == record.num_evals == state.evals_used
+        assert rows["min_regret"][-1] == record.min_regret == 1.0 - state.incumbent.value
 
 
 class TestParetoReport:
